@@ -11,19 +11,16 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .fpgroup import (
     DualVec,
     FpMatrix,
     ResourceGuardError,
     Subgroup,
+    annihilator_array,
     enum_codim_subgroups,
-    kernel_basis,
+    scan_avoiding,
 )
 from .setops import VecSet
-
-_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -39,10 +36,9 @@ class DeficiencyReport:
     witness: Subgroup | None
     recurrent_up_to: int | None
     checked_per_level: dict[int, int] = field(default_factory=dict)
-    wall_time_s: float = 0.0
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "set_id": self.set_id,
             "p": self.p,
             "n": self.n,
@@ -57,68 +53,28 @@ class DeficiencyReport:
             "recurrent_up_to": self.recurrent_up_to,
             "checked_per_level": {str(k): v for k, v in self.checked_per_level.items()},
         }
-        if include_timing:
-            d["wall_time_s"] = self.wall_time_s
-        return d
 
 
 def bohr_deficiency(S: VecSet, k_max: int, set_id: str = "") -> DeficiencyReport:
     """Scan codimensions 1..k_max in order for the first avoiding subgroup.
 
     The witness, when one exists, is the lexicographically least avoiding
-    subgroup at the least deficient codimension.
+    subgroup at the least deficient codimension; checked_per_level[k] is its
+    1-based position in that order, or C(n, k)_p for a level with none.
     """
-    import time
-
-    if k_max > S.n:
-        raise ValueError(f"k_max={k_max} exceeds ambient dimension {S.n}")
-    t0 = time.perf_counter()
+    if not 1 <= k_max <= S.n:
+        raise ValueError(f"k_max={k_max} must lie in [1, {S.n}]")
+    points = [v.coords for v in S.elements]
     counts: dict[int, int] = {}
-    S_arr = np.array([v.coords for v in S.elements], dtype=np.int64) if len(S) else None
     for k in range(1, k_max + 1):
-        witness, checked = _scan_level(S, S_arr, k)
-        counts[k] = checked
-        if witness is not None:
-            return DeficiencyReport(
-                set_id, S.p, S.n, k_max, "deficient", k, witness, None, counts,
-                time.perf_counter() - t0,
-            )
-    return DeficiencyReport(
-        set_id, S.p, S.n, k_max, "recurrent", None, None, k_max, counts,
-        time.perf_counter() - t0,
-    )
-
-
-def _scan_level(S: VecSet, S_arr, k: int) -> tuple[Subgroup | None, int]:
-    """First codim-k subgroup avoiding S (enumeration order), plus count checked."""
-    checked = 0
-    batch: list[Subgroup] = []
-    for H in enum_codim_subgroups(S.p, S.n, k):
-        if S_arr is None:
-            # Empty set: every subgroup avoids it.
-            return H, checked + 1
-        batch.append(H)
-        if len(batch) == _BATCH:
-            hit = _first_avoiding(batch, S_arr, S.p)
-            if hit is not None:
-                return batch[hit], checked + hit + 1
-            checked += len(batch)
-            batch = []
-    if batch:
-        hit = _first_avoiding(batch, S_arr, S.p)
+        A = annihilator_array(S.p, S.n, k)
+        hit = next(scan_avoiding(A, points, S.p), None)
         if hit is not None:
-            return batch[hit], checked + hit + 1
-        checked += len(batch)
-    return None, checked
-
-
-def _first_avoiding(batch: list[Subgroup], S_arr: np.ndarray, p: int) -> int | None:
-    anns = np.array([H.annihilator.entries for H in batch], dtype=np.int64)
-    # prods[b, r, s] = row r of annihilator b applied to element s of S
-    prods = np.tensordot(anns, S_arr.T, axes=([2], [0])) % p
-    meets = (prods == 0).all(axis=1).any(axis=1)
-    misses = np.nonzero(~meets)[0]
-    return int(misses[0]) if misses.size else None
+            counts[k] = hit + 1
+            witness = Subgroup(S.p, S.n, FpMatrix(S.p, A[hit].tolist()))
+            return DeficiencyReport(set_id, S.p, S.n, k_max, "deficient", k, witness, None, counts)
+        counts[k] = len(A)
+    return DeficiencyReport(set_id, S.p, S.n, k_max, "recurrent", None, None, k_max, counts)
 
 
 def meets_all_subgroups_oracle(S: VecSet, k: int) -> bool:

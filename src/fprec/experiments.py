@@ -40,13 +40,15 @@ from .families import (
     weight_d_set,
 )
 from .fpgroup import (
+    FpMatrix,
     FpVec,
     ResourceGuardError,
     Subgroup,
     all_vectors,
-    enum_codim_subgroups,
+    annihilator_array,
     gaussian_binomial,
     hom_from_basis_images,
+    scan_avoiding,
 )
 from .setops import VecSet, dfold_distinct_sumset, difference_set, preimage_intersect
 
@@ -185,17 +187,17 @@ def _avoiding_subgroups(
     E_fam: VecSet, k_max: int, budget: int
 ) -> tuple[list[Subgroup], int, int]:
     """Avoiding subgroups of codim 1..k_max; returns (found, tested, k_used)."""
+    p, n = E_fam.p, E_fam.n
+    points = [v.coords for v in E_fam.elements]
     found = []
     tested = 0
     k_used = 0
     for k in range(1, k_max + 1):
-        if tested + gaussian_binomial(E_fam.n, k, E_fam.p) > budget:
+        if tested + gaussian_binomial(n, k, p) > budget:
             break
-        for H in enum_codim_subgroups(E_fam.p, E_fam.n, k):
-            tested += 1
-            ok, _ = verify(H, E_fam)
-            if ok:
-                found.append(H)
+        A = annihilator_array(p, n, k)
+        found += [Subgroup(p, n, FpMatrix(p, A[i].tolist())) for i in scan_avoiding(A, points, p)]
+        tested += len(A)
         k_used = k
     return found, tested, k_used
 
@@ -359,8 +361,8 @@ def exp_lift_transfer(
         "rho_columns": [list(c.coords) for c in columns],
         "lift_size": len(S_lift),
         "slice_size": len(E),
-        "deficiency_S": rep_S.to_dict(include_timing=False) if rep_S else None,
-        "deficiency_lift": rep_lift.to_dict(include_timing=False) if rep_lift else None,
+        "deficiency_S": rep_S.to_dict() if rep_S else None,
+        "deficiency_lift": rep_lift.to_dict() if rep_lift else None,
     }
     verdicts = {"lift_maps_into_S": mapped_ok}
     return ExperimentReport(
@@ -405,7 +407,7 @@ def exp_poincare(p: int, n: int, k: int, trials: int, seed: int = 0) -> Experime
         raise ValueError("trials must be >= 1")
     _guard(p**n <= 2**14, f"p^n = {p}^{n} exceeds the sampling bound 2^14")
     universe = list(all_vectors(p, n))
-    subgroups = list(enum_codim_subgroups(p, n, k))
+    A = annihilator_array(p, n, k)
     rng = random.Random(seed)
 
     def run_arm(size: int) -> int:
@@ -413,17 +415,15 @@ def exp_poincare(p: int, n: int, k: int, trials: int, seed: int = 0) -> Experime
         for _ in range(trials):
             E = VecSet(p, n, tuple(rng.sample(universe, size)))
             D = difference_set(E, distinct_only=True)
-            for H in subgroups:
-                if not any(H.contains(x) for x in D.elements):
-                    failures += 1
-                    break
+            points = [x.coords for x in D.elements]
+            failures += next(scan_avoiding(A, points, p), None) is not None
         return failures
 
     failures = run_arm(p**k + 1)
     observational_failures = run_arm(p**k)
     verdicts = {"no_failures_at_pigeonhole_size": failures == 0}
     results = {
-        "subgroups_per_trial": len(subgroups),
+        "subgroups_per_trial": len(A),
         "failures": failures,
         "observational_failures_at_smaller_size": observational_failures,
         "trials": trials,
@@ -525,17 +525,17 @@ def exp_bog_scan(
     universe = list(all_vectors(p, n))
     size = len(universe)
     c_max = _feasible_k_max(p, n, budget=20_000)
-    subgroup_elements = {
-        c: [frozenset(x.coords for x in H.elements()) for H in enum_codim_subgroups(p, n, c)]
-        for c in range(0, c_max + 1)
-    }
+    levels = [annihilator_array(p, n, c) for c in range(0, c_max + 1)]
+    zero = (0,) * n
 
     def least_codim(cells: list[VecSet]) -> int | None:
+        # A subgroup lies inside a sumset exactly when it misses the sumset's
+        # complement in F_p^n; a sumset without 0 holds no subgroup.
         sums = [dfold_distinct_sumset(A, d).coord_tuples() for A in cells if len(A)]
-        for c in range(0, c_max + 1):
-            for elems in subgroup_elements[c]:
-                if any(elems <= sset for sset in sums):
-                    return c
+        outside = [[v.coords for v in universe if v.coords not in T] for T in sums if zero in T]
+        for c, A in enumerate(levels):
+            if any(next(scan_avoiding(A, X, p), None) is not None for X in outside):
+                return c
         return None
 
     if r**size <= budget:

@@ -2,7 +2,8 @@
 
 Vectors, matrices (homomorphisms), the dual pairing, reduced row-echelon
 canonical forms, kernel bases, and canonical enumeration of finite-index
-subgroups represented by annihilators.
+subgroups represented by annihilators, with the one vectorized scan for
+subgroups that miss a set.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
 
 
 class ResourceGuardError(RuntimeError):
@@ -339,27 +342,50 @@ class Subgroup:
             yield linear_combination(coeffs, basis, p=self.p, n=self.n)
 
 
-def subgroup_contains(H: Subgroup, x: FpVec) -> bool:
-    return H.contains(x)
+# Products per chunk in scan_avoiding: small enough to stay in cache, large
+# enough that numpy's per-call overhead stays a small share.
+_CHUNK = 1 << 16
 
 
-def _rref_full_rank_matrices(p: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All full-rank k x n RREF matrices over F_p (one per k-dim row space)."""
+def annihilator_array(p: int, n: int, k: int) -> np.ndarray:
+    """All full-rank k x n RREF matrices over F_p, one per codim-k subgroup.
+
+    Returns an int8 array of shape (C(n, k)_p, k, n) in lex order of the
+    matrices read row by row, the order enum_codim_subgroups yields.
+    """
+    blocks = []
     for pivots in itertools.combinations(range(n), k):
         # Free cells: non-pivot columns to the right of each row's pivot.
-        free_cells = [
-            (i, j)
-            for i in range(k)
-            for j in range(n)
-            if j > pivots[i] and j not in pivots
-        ]
-        for values in itertools.product(range(p), repeat=len(free_cells)):
-            rows = [[0] * n for _ in range(k)]
-            for i in range(k):
-                rows[i][pivots[i]] = 1
-            for (i, j), v in zip(free_cells, values):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
+        block = np.zeros((p ** len(free), k, n), dtype=np.int8)
+        block[:, range(k), list(pivots)] = 1
+        if free:
+            rows, cols = zip(*free)
+            values = np.indices((p,) * len(free), dtype=np.int8).reshape(len(free), -1)
+            block[:, rows, cols] = values.T
+        blocks.append(block)
+    A = np.concatenate(blocks)
+    if k == 0:
+        return A  # the one empty matrix; lexsort needs at least one key
+    # lexsort takes its primary key last: reverse the row-major entries.
+    return A[np.lexsort(A.reshape(len(A), -1).T[::-1])]
+
+
+def scan_avoiding(A: np.ndarray, points, p: int) -> Iterator[int]:
+    """Indices, ascending, of the annihilators in A whose kernel misses every point.
+
+    A is an annihilator_array; points is a sequence of coordinate tuples.
+    Chunks of A are tested with one integer product each, so a consumer that
+    stops at the first index pays for at most one chunk past it.
+    """
+    _, k, n = A.shape
+    X = np.asarray(points, dtype=np.int64).reshape(-1, n).T
+    step = max(1, _CHUNK // max(1, k * X.shape[1]))
+    for lo in range(0, len(A), step):
+        # misses[i]: every point has some row of A[lo + i] pairing nonzero.
+        misses = ((A[lo:lo + step] @ X) % p).any(axis=1).all(axis=1)
+        for i in misses.nonzero()[0]:
+            yield lo + int(i)
 
 
 def enum_codim_subgroups(p: int, n: int, k: int) -> Iterator[Subgroup]:
@@ -371,9 +397,5 @@ def enum_codim_subgroups(p: int, n: int, k: int) -> Iterator[Subgroup]:
     check_prime(p)
     if not 0 <= k <= n:
         raise ValueError(f"codimension {k} out of range [0, {n}]")
-    if k == 0:
-        yield Subgroup.whole_group(p, n)
-        return
-    mats = sorted(_rref_full_rank_matrices(p, n, k))
-    for entries in mats:
-        yield Subgroup(p, n, FpMatrix(p, entries))
+    for a in annihilator_array(p, n, k):
+        yield Subgroup(p, n, FpMatrix(p, a.tolist()))

@@ -11,7 +11,7 @@ from fprec.bohr import (
 )
 from fprec.colorings import verify
 from fprec.families import weight_d_set
-from fprec.fpgroup import FpVec, ResourceGuardError, Subgroup
+from fprec.fpgroup import FpVec, ResourceGuardError, Subgroup, enum_codim_subgroups
 from fprec.setops import VecSet
 
 
@@ -47,9 +47,35 @@ class TestBohrDeficiency:
         with pytest.raises(ValueError):
             bohr_deficiency(vs(2, 3, (1, 0, 0)), 4)
 
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_below_one_rejected(self, k_max):
+        with pytest.raises(ValueError):
+            bohr_deficiency(vs(2, 3, (1, 0, 0)), k_max)
+
     def test_empty_set_deficient_immediately(self):
         rep = bohr_deficiency(VecSet.empty(2, 3), 2)
         assert rep.deficient_at == 1
+        assert rep.checked_per_level == {1: 1}
+        assert rep.witness == next(enum_codim_subgroups(2, 3, 1))
+
+    @pytest.mark.parametrize("p,n", [(2, 4), (2, 5), (3, 3), (5, 2)])
+    def test_witness_and_count_match_first_avoider(self, p, n):
+        # Reference: walk the enumeration and verify each subgroup in turn.
+        rng = random.Random(p * 10 + n)
+        for _ in range(15):
+            S = random_vecset(rng, p, n, rng.randrange(1, min(p**n, 12)))
+            k_max = min(n, 3)
+            rep = bohr_deficiency(S, k_max)
+            counts, witness = {}, None
+            for k in range(1, k_max + 1):
+                subs = list(enum_codim_subgroups(p, n, k))
+                first = next((i for i, H in enumerate(subs) if verify(H, S)[0]), None)
+                counts[k] = len(subs) if first is None else first + 1
+                if first is not None:
+                    witness = subs[first]
+                    break
+            assert rep.witness == witness
+            assert rep.checked_per_level == counts
 
     def test_witness_avoids_set(self):
         rng = random.Random(17)

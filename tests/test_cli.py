@@ -123,6 +123,11 @@ class TestCli:
         path.write_text("no header\n")
         assert main(["deficiency", "--in", str(path), "--k-max", "1"]) == 2
 
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    def test_k_max_below_one_exit_2(self, e1_file, k_max, capsys):
+        assert main(["deficiency", "--in", e1_file, "--k-max", k_max]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_resource_guard_exit_3(self, capsys):
         # poincare guard: p^n above 2^14
         assert main(["exp", "poincare", "--p", "2", "--n", "20", "--k", "1",
@@ -134,3 +139,39 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["results"]["chi"] == 2
         assert doc["verdicts"]["components_in_trichotomy"] is True
+
+
+@pytest.fixture
+def verb_argvs(tmp_path):
+    from fprec.setops import VecSet
+
+    e1, full, hg, graph = (str(tmp_path / f) for f in ("e1.txt", "full.txt", "h.txt", "g.txt"))
+    write_vecset(weight_d_set(2, 3, 1), e1)
+    write_vecset(VecSet.full(2, 3), full)
+    write_hypergraph(ap3_hypergraph(6), hg)
+    write_graph(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), graph)
+    return {
+        "deficiency": ["deficiency", "--in", e1, "--k-max", "2"],
+        "chi-graph": ["chi", "--graph", graph],
+        "chi-cayley": ["chi", "--vertices", full, "--conn", e1],
+        "cayley": ["cayley", "--vertices", full, "--conn", e1, "--out", str(tmp_path / "c.txt")],
+        "hypergraph-chi": ["hypergraph-chi", "--in", hg],
+        "bridge": ["bridge", "--in", hg, "--p", "3"],
+        "exp": ["exp", "bog-scan", "--p", "2", "--n", "3", "--budget", "5", "--seed", "1"],
+    }
+
+
+@pytest.mark.parametrize("verb", [
+    "deficiency", "chi-graph", "chi-cayley", "cayley", "hypergraph-chi", "bridge", "exp",
+])
+def test_reports_byte_identical_across_reruns(verb, verb_argvs, tmp_path, capsys):
+    argv = verb_argvs[verb]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if verb == "cayley":
+            out = (tmp_path / "c.txt").read_text()
+        outputs.append(out.encode())
+    assert outputs[0] == outputs[1]
+    assert outputs[0]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,8 +14,34 @@ from fprec.experiments import (
     run_bridge_roundtrip,
 )
 from fprec.families import weight_d_set
-from fprec.fpgroup import FpVec, ResourceGuardError
-from fprec.setops import VecSet
+from fprec.fpgroup import FpVec, ResourceGuardError, all_vectors, enum_codim_subgroups
+from fprec.setops import VecSet, dfold_distinct_sumset
+
+
+def bog_scan_reference(p, d, n, r, budget, seed, c_max):
+    """Least-codimension histogram by the definition: some subgroup's element
+    set is a subset of some cell's d-fold distinct sumset."""
+    universe = list(all_vectors(p, n))
+    subgroups = [
+        [frozenset(x.coords for x in H.elements()) for H in enum_codim_subgroups(p, n, c)]
+        for c in range(c_max + 1)
+    ]
+    size = len(universe)
+    if r**size <= budget:
+        assignments = itertools.product(range(r), repeat=size)
+    else:
+        rng = random.Random(seed)
+        assignments = (tuple(rng.randrange(r) for _ in range(size)) for _ in range(budget))
+    hist = {}
+    for assignment in assignments:
+        cells = [VecSet(p, n, tuple(v for v, a in zip(universe, assignment) if a == j))
+                 for j in range(r)]
+        sums = [dfold_distinct_sumset(A, d).coord_tuples() for A in cells if len(A)]
+        c = next((c for c in range(c_max + 1)
+                  if any(elems <= T for elems in subgroups[c] for T in sums)), None)
+        key = "none" if c is None else str(c)
+        hist[key] = hist.get(key, 0) + 1
+    return dict(sorted(hist.items()))
 
 
 class TestSSquare:
@@ -134,6 +161,16 @@ class TestBogScan:
     def test_bad_d(self):
         with pytest.raises(ValueError):
             exp_bog_scan(2, 2, 3, 2)
+
+    @pytest.mark.parametrize("p,d,n,r,budget,seed", [
+        (2, 4, 2, 2, 300, 0), (2, 4, 3, 2, 20, 1), (2, 4, 3, 2, 20, 2), (3, 3, 2, 2, 20, 3),
+        (2, 4, 4, 3, 20, 4), (2, 4, 5, 2, 10, 5),
+    ])
+    def test_histogram_matches_subset_definition(self, p, d, n, r, budget, seed):
+        report = exp_bog_scan(p, d, n, r, budget=budget, seed=seed)
+        c_max = report.results["c_max_probed"]
+        expect = bog_scan_reference(p, d, n, r, budget, seed, c_max)
+        assert report.results["least_codim_histogram"] == expect
 
 
 class TestReportShape:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fprec import fpgroup
 from fprec.fpgroup import (
     FpMatrix,
     FpVec,
     Subgroup,
     all_vectors,
+    annihilator_array,
     enum_codim_subgroups,
     gaussian_binomial,
     hom_apply,
@@ -18,7 +20,7 @@ from fprec.fpgroup import (
     linear_combination,
     pairing,
     rref_rank,
-    subgroup_contains,
+    scan_avoiding,
 )
 
 
@@ -161,7 +163,7 @@ class TestKernel:
 class TestSubgroup:
     def test_contains_zero(self):
         H = Subgroup.from_dual_vectors([vec(2, 1, 1, 1)], p=2, n=3)
-        assert subgroup_contains(H, FpVec.zero(2, 3))
+        assert H.contains(FpVec.zero(2, 3))
 
     def test_parity_kernel(self):
         H = Subgroup.from_dual_vectors([vec(2, 1, 1, 1)], p=2, n=3)
@@ -231,3 +233,56 @@ class TestEnumeration:
         hyperplanes = list(enum_codim_subgroups(p, n, 1))
         for x in all_vectors(p, n):
             assert any(H.contains(x) for H in hyperplanes)
+
+
+def reference_rref_matrices(p, n, k):
+    """All full-rank k x n RREF matrices over F_p, sorted; cell by cell in Python."""
+    out = []
+    for pivots in itertools.combinations(range(n), k):
+        free_cells = [
+            (i, j)
+            for i in range(k)
+            for j in range(n)
+            if j > pivots[i] and j not in pivots
+        ]
+        for values in itertools.product(range(p), repeat=len(free_cells)):
+            rows = [[0] * n for _ in range(k)]
+            for i in range(k):
+                rows[i][pivots[i]] = 1
+            for (i, j), v in zip(free_cells, values):
+                rows[i][j] = v
+            out.append(tuple(tuple(r) for r in rows))
+    return sorted(out)
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("p,n,k", [
+        (2, 1, 0), (2, 1, 1), (2, 4, 0), (2, 4, 1), (2, 4, 2), (2, 4, 4), (2, 6, 3),
+        (3, 3, 2), (3, 4, 2), (5, 3, 0), (5, 3, 1), (5, 3, 2), (5, 3, 3), (7, 2, 1),
+    ])
+    def test_annihilator_array_matches_reference(self, p, n, k):
+        A = annihilator_array(p, n, k)
+        assert A.shape == (gaussian_binomial(n, k, p), k, n)
+        assert [tuple(map(tuple, a)) for a in A.tolist()] == reference_rref_matrices(p, n, k)
+
+    @pytest.mark.parametrize("p,n,k", [(2, 5, 2), (3, 3, 1), (3, 3, 2), (5, 2, 1), (2, 4, 0)])
+    def test_scan_matches_contains(self, p, n, k, monkeypatch):
+        # A tiny chunk makes every scan cross chunk boundaries.
+        monkeypatch.setattr(fpgroup, "_CHUNK", 5)
+        rng = random.Random(p * 100 + n * 10 + k)
+        pool = list(all_vectors(p, n))
+        A = annihilator_array(p, n, k)
+        subs = list(enum_codim_subgroups(p, n, k))
+        for size in (1, 2, 3, 5):
+            pts = rng.sample(pool, size)
+            expect = [i for i, H in enumerate(subs) if not any(H.contains(x) for x in pts)]
+            assert list(scan_avoiding(A, [x.coords for x in pts], p)) == expect
+
+    def test_empty_set_missed_by_every_subgroup(self):
+        for k in range(4):
+            A = annihilator_array(3, 3, k)
+            assert list(scan_avoiding(A, [], 3)) == list(range(len(A)))
+
+    def test_whole_group_meets_any_point(self):
+        A = annihilator_array(2, 3, 0)
+        assert list(scan_avoiding(A, [(1, 0, 1)], 2)) == []
