@@ -7,12 +7,9 @@ k_max avoids the set, the set is certified recurrent up to level k_max.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .fpgroup import (
-    DualVec,
     FpMatrix,
     ResourceGuardError,
     Subgroup,
@@ -92,39 +89,3 @@ def meets_all_subgroups_oracle(S: VecSet, k: int) -> bool:
         if not any(x.coords in S_set for x in H.elements()):
             return False
     return True
-
-
-@lru_cache(maxsize=None)
-def character_value_distances(p: int) -> tuple[float, ...]:
-    """Distances |e(r) - 1| for residues r = 1..p-1, rounded outward (down).
-
-    e(r) = exp(2 pi i r / p); rounding down keeps the threshold comparisons
-    from excluding a character value that sits exactly on the bound.
-    """
-    out = []
-    for r in range(1, p):
-        d = 2.0 * math.sin(math.pi * r / p)
-        out.append(math.nextafter(d, -math.inf))
-    return tuple(out)
-
-
-def bohr_set_from_characters(xis: list[DualVec], epsilon: float, *, p: int | None = None,
-                             n: int | None = None) -> Subgroup:
-    """The finite Bohr set {s : max_j |chi_j(s) - 1| < eps} as a canonical Subgroup.
-
-    Characters with some nontrivial value inside the bound cannot constrain the
-    set to a subgroup and are dropped; with no binding characters the whole
-    group (a codim-0 Subgroup) is returned.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not xis:
-        if p is None or n is None:
-            raise ValueError("empty character list needs declared p and n")
-        return Subgroup.whole_group(p, n)
-    head = xis[0]
-    for xi in xis:
-        head._check_compat(xi)
-    dists = character_value_distances(head.p)
-    binding = [xi for xi in xis if not xi.is_zero() and min(dists) >= epsilon]
-    return Subgroup.from_dual_vectors(binding, p=head.p, n=head.n)

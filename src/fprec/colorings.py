@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .fpgroup import DualVec, FpVec, Subgroup, pairing
+from .fpgroup import DualVec, FpVec, Subgroup
 from .setops import VecSet
 
 INFINITE = float("inf")
@@ -286,36 +286,34 @@ def _monochromatic_edge(hg: Hypergraph, color_of: dict[int, int]) -> frozenset[i
     return None
 
 
-def find_proper_partition(hg: Hypergraph, r: int) -> CellPartition | None:
-    """A partition of [1, N] into at most r cells with no monochromatic edge,
-    or None.  Deterministic backtracking with new-color symmetry breaking."""
+def proper_partitions(hg: Hypergraph, r: int) -> Iterator[CellPartition]:
+    """Every partition of [1, N] into at most r cells with no monochromatic
+    edge, in restricted-growth order: backtracking over vertex colors with
+    new-color symmetry breaking, each edge checked once its last vertex has
+    a color."""
     if any(len(e) == 1 for e in hg.edges):
-        return None
-    edges = [sorted(e) for e in hg.edges]
-    # Edges indexed by their largest vertex: check each edge once complete.
+        return
     by_last: dict[int, list[list[int]]] = {}
-    for e in edges:
-        by_last.setdefault(e[-1], []).append(e)
+    for e in hg.edges:
+        *rest, last = sorted(e)
+        by_last.setdefault(last, []).append(rest)
     colors: dict[int, int] = {}
 
-    def rec(v: int, used: int) -> bool:
+    def rec(v: int, used: int) -> Iterator[CellPartition]:
         if v > hg.n:
-            return True
+            yield partition_from_coloring(colors)
+            return
         for c in range(1, min(used + 1, r) + 1):
-            colors[v] = c
-            ok = True
-            for e in by_last.get(v, ()):
-                if all(colors[u] == c for u in e[:-1]):
-                    ok = False
-                    break
-            if ok and rec(v + 1, max(used, c)):
-                return True
-            del colors[v]
-        return False
+            if all(any(colors[u] != c for u in rest) for rest in by_last.get(v, ())):
+                colors[v] = c
+                yield from rec(v + 1, max(used, c))
 
-    if not rec(1, 0):
-        return None
-    return partition_from_coloring(colors)
+    yield from rec(1, 0)
+
+
+def find_proper_partition(hg: Hypergraph, r: int) -> CellPartition | None:
+    """The first of proper_partitions(hg, r), or None."""
+    return next(proper_partitions(hg, r), None)
 
 
 def partition_from_coloring(color_of: dict[int, int]) -> CellPartition:
@@ -381,19 +379,18 @@ def coloring_to_avoiding_subgroup(
     return Subgroup.from_dual_vectors(rows, p=p, n=fam.n)
 
 
-def characters_to_coloring(xis: Sequence[DualVec], N: int) -> CellPartition:
-    """Partition [1, N] by the joint character values on the basis vectors."""
-    if not xis:
+def characters_to_coloring(rows: Sequence[Sequence[int]], N: int) -> CellPartition:
+    """Partition [1, N] by the joint character values on the basis vectors.
+
+    rows are the characters' coordinates, such as an annihilator's rows; the
+    key of vertex v is column v.
+    """
+    if not rows:
         raise ValueError("need at least one character")
-    p = xis[0].p
-    for xi in xis:
-        if xi.p != p:
-            raise ValueError("characters must share the modulus")
-        if xi.n < N:
-            raise ValueError(f"character dimension {xi.n} smaller than N={N}")
+    if any(len(row) < N for row in rows):
+        raise ValueError(f"character dimension smaller than N={N}")
     cells: dict[tuple[int, ...], set[int]] = {}
-    for v in range(1, N + 1):
-        key = tuple(xi.coords[v - 1] for xi in xis)
+    for v, key in zip(range(1, N + 1), zip(*rows)):
         cells.setdefault(key, set()).add(v)
     ordered = sorted(cells.values(), key=min)
     return tuple(frozenset(c) for c in ordered)

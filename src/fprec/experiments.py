@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .bohr import DeficiencyReport, bohr_deficiency
+from .bohr import bohr_deficiency
 from .colorings import (
     CellPartition,
     Hypergraph,
@@ -23,12 +23,11 @@ from .colorings import (
     build_cayley,
     characters_to_coloring,
     chromatic_number_exact,
-    coloring_of_partition,
     coloring_to_avoiding_subgroup,
     components_classify,
-    find_proper_partition,
     hypergraph_chromatic,
     partition_from_coloring,
+    proper_partitions,
     verify,
 )
 from .families import (
@@ -40,10 +39,7 @@ from .families import (
     weight_d_set,
 )
 from .fpgroup import (
-    FpMatrix,
-    FpVec,
     ResourceGuardError,
-    Subgroup,
     all_vectors,
     annihilator_array,
     gaussian_binomial,
@@ -152,22 +148,6 @@ def exp_s_square(W: int) -> ExperimentReport:
     )
 
 
-def _set_partitions(n: int):
-    """All set partitions of [1, n] via restricted growth strings."""
-
-    def rec(v: int, rgs: list[int], k: int):
-        if v > n:
-            yield list(rgs)
-            return
-        for c in range(1, k + 2):
-            rgs.append(c)
-            yield from rec(v + 1, rgs, max(k, c))
-            rgs.pop()
-
-    for rgs in rec(1, [], 0):
-        yield partition_from_coloring({v: c for v, c in zip(range(1, n + 1), rgs)})
-
-
 def _bell(n: int) -> int:
     row = [1]
     for _ in range(n):
@@ -185,8 +165,9 @@ def _random_partition(rng: random.Random, n: int, max_cells: int) -> CellPartiti
 
 def _avoiding_subgroups(
     E_fam: VecSet, k_max: int, budget: int
-) -> tuple[list[Subgroup], int, int]:
-    """Avoiding subgroups of codim 1..k_max; returns (found, tested, k_used)."""
+) -> tuple[list[list[list[int]]], int, int]:
+    """Avoiding subgroups of codim 1..k_max, each as its canonical
+    annihilator's rows; returns (found, tested, k_used)."""
     p, n = E_fam.p, E_fam.n
     points = [v.coords for v in E_fam.elements]
     found = []
@@ -196,7 +177,7 @@ def _avoiding_subgroups(
         if tested + gaussian_binomial(n, k, p) > budget:
             break
         A = annihilator_array(p, n, k)
-        found += [Subgroup(p, n, FpMatrix(p, A[i].tolist())) for i in scan_avoiding(A, points, p)]
+        found += A[list(scan_avoiding(A, points, p))].tolist()
         tested += len(A)
         k_used = k
     return found, tested, k_used
@@ -234,22 +215,19 @@ def run_bridge_roundtrip(
 
     # Direction (a): partitions -> subgroups.
     if _bell(N) <= 5000:
-        partitions = list(_set_partitions(N))
+        partitions_tested = _bell(N)
+        proper = proper_partitions(hg, N)
         sampling = "exhaustive"
     else:
         rng = random.Random(seed)
-        partitions = [_random_partition(rng, N, min(N, 4)) for _ in range(partition_samples)]
+        partitions_tested = partition_samples
+        draws = [_random_partition(rng, N, min(N, 4)) for _ in range(partition_samples)]
+        proper = (part for part in draws if verify(part, hg)[0])
         sampling = "sampled"
     violations: list[str] = []
     uncertified = 0
     proper_count = 0
-    for part in partitions:
-        color_of = coloring_of_partition(part)
-        mono = any(
-            len({color_of[v] for v in e}) == 1 for e in hg.edges
-        )
-        if mono:
-            continue
+    for part in proper:
         proper_count += 1
         H = coloring_to_avoiding_subgroup(part, hg, p)
         if H.codim > len(part):
@@ -268,16 +246,16 @@ def run_bridge_roundtrip(
     if k_max is None:
         k_max = N
     found, tested, k_used = _avoiding_subgroups(E_fam, k_max, subgroup_budget)
-    for H in found:
-        part = characters_to_coloring(H.annihilator.row_vecs(), N)
+    for rows in found:
+        part = characters_to_coloring(rows, N)
         proper, bad = verify(part, hg)
         if not proper:
             violations.append(
                 f"partition induced by avoiding subgroup has monochromatic edge {bad}"
             )
-        if len(part) > p**H.codim:
+        if len(part) > p ** len(rows):
             violations.append(
-                f"induced partition has {len(part)} cells > p^k = {p**H.codim}"
+                f"induced partition has {len(part)} cells > p^k = {p ** len(rows)}"
             )
 
     verdicts = {"no_violations": not violations}
@@ -286,7 +264,7 @@ def run_bridge_roundtrip(
         "hypergraph_chi": chi,
         "uniform": uniform,
         "partition_sampling": sampling,
-        "partitions_tested": len(partitions),
+        "partitions_tested": partitions_tested,
         "proper_partitions": proper_count,
         "subgroups_tested": tested,
         "avoiding_subgroups": len(found),

@@ -1,22 +1,48 @@
-"""Plain-text file formats: vector sets, matrices, hypergraphs, edge lists."""
+"""Plain-text file formats: vector sets, hypergraphs, edge lists."""
 
 from __future__ import annotations
 
 import hashlib
 import re
 from pathlib import Path
+from typing import Callable
 
 from .colorings import Graph, Hypergraph
-from .fpgroup import FpMatrix, FpVec
+from .fpgroup import FpVec
 from .setops import VecSet
 
-_HEADER_PN = re.compile(r"#\s*p=(\d+)\s+n=(\d+)\s*$")
-_HEADER_N = re.compile(r"#\s*N=(\d+)\s*$")
-_HEADER_V = re.compile(r"#\s*vertices=(\d+)\s*$")
 
+def _read_rows(
+    path: str | Path, names: tuple[str, ...], width: Callable[..., int] | None = None
+) -> tuple[list[int], list[list[int]]]:
+    """Parse a '# name=<int> ...' header line and the integer rows after it.
 
-def _data_lines(text: str) -> list[str]:
-    return [ln.strip() for ln in text.splitlines()[1:] if ln.strip()]
+    Returns the header values and the rows, blank lines skipped.  width, given
+    the header values, returns the required row length.  Errors name the file
+    and the 1-based line.
+    """
+    lines = Path(path).read_text().splitlines()
+    header = re.compile(r"#\s*" + r"\s+".join(rf"{k}=(\d+)" for k in names) + r"\s*$")
+    m = header.match(lines[0]) if lines else None
+    if not m:
+        usage = " ".join(f"{k}=<{k}>" for k in names)
+        raise ValueError(f"{path}: line 1: missing '# {usage}' header")
+    values = [int(g) for g in m.groups()]
+    expected = width(*values) if width else None
+    rows = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        if not ln.strip():
+            continue
+        try:
+            row = [int(tok) for tok in ln.split()]
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: non-integer token in {ln.strip()!r}"
+            ) from None
+        if expected is not None and len(row) != expected:
+            raise ValueError(f"{path}: line {lineno}: {len(row)} values, expected {expected}")
+        rows.append(row)
+    return values, rows
 
 
 def write_vecset(S: VecSet, path: str | Path) -> None:
@@ -26,41 +52,8 @@ def write_vecset(S: VecSet, path: str | Path) -> None:
 
 
 def read_vecset(path: str | Path) -> VecSet:
-    text = Path(path).read_text()
-    first = text.splitlines()[0] if text.splitlines() else ""
-    m = _HEADER_PN.match(first)
-    if not m:
-        raise ValueError(f"{path}: missing '# p=<p> n=<n>' header")
-    p, n = int(m.group(1)), int(m.group(2))
-    vecs = []
-    for ln in _data_lines(text):
-        coords = tuple(int(tok) for tok in ln.split())
-        if len(coords) != n:
-            raise ValueError(f"{path}: line {ln!r} has {len(coords)} coordinates, expected {n}")
-        vecs.append(FpVec(p, coords))
-    return VecSet(p, n, tuple(vecs))
-
-
-def write_matrix(M: FpMatrix, n: int, path: str | Path) -> None:
-    lines = [f"# p={M.p} n={n}"]
-    lines.extend(" ".join(str(c) for c in row) for row in M.entries)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_matrix(path: str | Path) -> FpMatrix:
-    text = Path(path).read_text()
-    first = text.splitlines()[0] if text.splitlines() else ""
-    m = _HEADER_PN.match(first)
-    if not m:
-        raise ValueError(f"{path}: missing '# p=<p> n=<n>' header")
-    p, n = int(m.group(1)), int(m.group(2))
-    rows = []
-    for ln in _data_lines(text):
-        row = tuple(int(tok) for tok in ln.split())
-        if len(row) != n:
-            raise ValueError(f"{path}: row {ln!r} has {len(row)} entries, expected {n}")
-        rows.append(row)
-    return FpMatrix(p, tuple(rows))
+    (p, n), rows = _read_rows(path, ("p", "n"), width=lambda p, n: n)
+    return VecSet(p, n, tuple(FpVec(p, tuple(row)) for row in rows))
 
 
 def write_hypergraph(hg: Hypergraph, path: str | Path) -> None:
@@ -70,13 +63,7 @@ def write_hypergraph(hg: Hypergraph, path: str | Path) -> None:
 
 
 def read_hypergraph(path: str | Path) -> Hypergraph:
-    text = Path(path).read_text()
-    first = text.splitlines()[0] if text.splitlines() else ""
-    m = _HEADER_N.match(first)
-    if not m:
-        raise ValueError(f"{path}: missing '# N=<N>' header")
-    n = int(m.group(1))
-    edges = [[int(tok) for tok in ln.split()] for ln in _data_lines(text)]
+    (n,), edges = _read_rows(path, ("N",))
     return Hypergraph.from_edge_lists(n, edges)
 
 
@@ -87,16 +74,7 @@ def write_graph(g: Graph, path: str | Path) -> None:
 
 
 def read_graph(path: str | Path) -> Graph:
-    text = Path(path).read_text()
-    first = text.splitlines()[0] if text.splitlines() else ""
-    m = _HEADER_V.match(first)
-    if not m:
-        raise ValueError(f"{path}: missing '# vertices=<count>' header")
-    n = int(m.group(1))
-    edges = []
-    for ln in _data_lines(text):
-        u, v = (int(tok) for tok in ln.split())
-        edges.append((u, v))
+    (n,), edges = _read_rows(path, ("vertices",), width=lambda n: 2)
     return Graph.from_edges(n, edges)
 
 

@@ -9,7 +9,7 @@ subgroups that miss a set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -22,6 +22,9 @@ class ResourceGuardError(RuntimeError):
 
 MAX_PRIME = 31
 MAX_GROUP_ORDER = 2**24
+# Largest codimension level annihilator_array builds; the 2^22 - 1
+# annihilators of codimension 1 in F_2^22 peak near 330 MB while sorted.
+MAX_SUBGROUPS = 2**22
 
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
 
@@ -65,9 +68,6 @@ class FpVec:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def weight(self) -> int:
-        return sum(1 for c in self.coords if c != 0)
-
     def _check_compat(self, other: FpVec) -> None:
         if self.p != other.p or self.n != other.n:
             raise ValueError(
@@ -85,9 +85,6 @@ class FpVec:
 
     def __neg__(self) -> FpVec:
         return FpVec(self.p, tuple((-a) % self.p for a in self.coords))
-
-    def scale(self, c: int) -> FpVec:
-        return FpVec(self.p, tuple((c * a) % self.p for a in self.coords))
 
     def __lt__(self, other: FpVec) -> bool:
         return self.coords < other.coords
@@ -135,12 +132,6 @@ class FpMatrix:
         for r in rows:
             rows[0]._check_compat(r)
         return cls(p, tuple(r.coords for r in rows))
-
-    def row_vecs(self) -> tuple[FpVec, ...]:
-        return tuple(FpVec(self.p, row) for row in self.entries)
-
-    def column(self, j: int) -> FpVec:
-        return FpVec(self.p, tuple(row[j] for row in self.entries))
 
 
 def linear_combination(
@@ -351,8 +342,14 @@ def annihilator_array(p: int, n: int, k: int) -> np.ndarray:
     """All full-rank k x n RREF matrices over F_p, one per codim-k subgroup.
 
     Returns an int8 array of shape (C(n, k)_p, k, n) in lex order of the
-    matrices read row by row, the order enum_codim_subgroups yields.
+    matrices read row by row, the order enum_codim_subgroups yields.  Raises
+    ResourceGuardError, before allocating, when C(n, k)_p exceeds MAX_SUBGROUPS.
     """
+    count = gaussian_binomial(n, k, p)
+    if count > MAX_SUBGROUPS:
+        raise ResourceGuardError(
+            f"C({n}, {k})_{p} = {count} subgroups exceeds the per-level bound 2^22"
+        )
     blocks = []
     for pivots in itertools.combinations(range(n), k):
         # Free cells: non-pivot columns to the right of each row's pivot.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .fpgroup import FpMatrix, FpVec, all_vectors, hom_apply
 
@@ -30,10 +30,6 @@ class VecSet:
                     f"element (p={v.p}, n={v.n}) does not match set (p={self.p}, n={self.n})"
                 )
         object.__setattr__(self, "elements", elems)
-
-    @classmethod
-    def from_iterable(cls, p: int, n: int, vecs: Iterable[FpVec]) -> VecSet:
-        return cls(p, n, tuple(vecs))
 
     @classmethod
     def empty(cls, p: int, n: int) -> VecSet:

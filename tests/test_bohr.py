@@ -5,13 +5,11 @@ import pytest
 
 from fprec.bohr import (
     bohr_deficiency,
-    bohr_set_from_characters,
-    character_value_distances,
     meets_all_subgroups_oracle,
 )
 from fprec.colorings import verify
 from fprec.families import weight_d_set
-from fprec.fpgroup import FpVec, ResourceGuardError, Subgroup, enum_codim_subgroups
+from fprec.fpgroup import FpVec, ResourceGuardError, enum_codim_subgroups
 from fprec.setops import VecSet
 
 
@@ -122,36 +120,3 @@ class TestOracle:
     def test_scale_guard(self):
         with pytest.raises(ResourceGuardError):
             meets_all_subgroups_oracle(VecSet.empty(2, 20), 1)
-
-
-class TestBohrSetFromCharacters:
-    def test_trivial_character_whole_group(self):
-        H = bohr_set_from_characters([FpVec.zero(2, 3)], 0.5)
-        assert H.is_whole_group
-
-    def test_huge_epsilon_whole_group(self):
-        H = bohr_set_from_characters([FpVec(2, (1, 0))], 3.0)
-        assert H.is_whole_group
-
-    def test_small_epsilon_kernel(self):
-        H = bohr_set_from_characters([FpVec(2, (1, 0))], 0.5)
-        assert H.annihilator.entries == ((1, 0),)
-
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            bohr_set_from_characters([FpVec(2, (1, 0))], 0.0)
-
-    def test_distance_table(self):
-        # For p = 2 the only nontrivial value is -1, at distance 2.
-        (d,) = character_value_distances(2)
-        assert abs(d - 2.0) < 1e-12
-        # For p = 3 both nontrivial values sit at distance sqrt(3).
-        d1, d2 = character_value_distances(3)
-        assert abs(d1 - 3**0.5) < 1e-12 and abs(d2 - 3**0.5) < 1e-12
-
-    def test_intermediate_epsilon_p3(self):
-        # sqrt(3) ~ 1.732: epsilon below it forces kernel membership.
-        H = bohr_set_from_characters([FpVec(3, (1, 2))], 1.7)
-        assert H.annihilator.entries == ((1, 2),)
-        H = bohr_set_from_characters([FpVec(3, (1, 2))], 1.8)
-        assert H.is_whole_group

@@ -8,14 +8,11 @@ from fprec.families import ap3_hypergraph, weight_d_set
 from fprec.fileio import (
     read_graph,
     read_hypergraph,
-    read_matrix,
     read_vecset,
     write_graph,
     write_hypergraph,
-    write_matrix,
     write_vecset,
 )
-from fprec.fpgroup import FpMatrix
 
 
 class TestFileFormats:
@@ -25,12 +22,6 @@ class TestFileFormats:
         write_vecset(S, path)
         assert path.read_text().splitlines()[0] == "# p=3 n=4"
         assert read_vecset(path) == S
-
-    def test_matrix_roundtrip(self, tmp_path):
-        M = FpMatrix(2, ((1, 0, 1), (0, 1, 1)))
-        path = tmp_path / "m.txt"
-        write_matrix(M, 3, path)
-        assert read_matrix(path) == M
 
     def test_hypergraph_roundtrip(self, tmp_path):
         hg = ap3_hypergraph(6)
@@ -50,6 +41,27 @@ class TestFileFormats:
         path.write_text("1 0 1\n")
         with pytest.raises(ValueError):
             read_vecset(path)
+
+
+MALFORMED = {
+    "graph-edge-three-vertices": ("chi", "--graph", "# vertices=3\n0 1\n1 2 0\n", 3),
+    "graph-non-integer": ("chi", "--graph", "# vertices=3\n0 1\n\n1 x\n", 4),
+    "vecset-wrong-width": ("deficiency", "--in", "# p=2 n=3\n1 0 1\n1 1\n", 3),
+    "vecset-non-integer": ("deficiency", "--in", "# p=2 n=3\n1 0 1.5\n", 2),
+    "vecset-no-header": ("deficiency", "--in", "1 0 1\n", 1),
+    "hypergraph-non-integer": ("hypergraph-chi", "--in", "# N=4\n1 2\n\n\n3 four\n", 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_exit_2_names_line(case, tmp_path, capsys):
+    verb, flag, text, line = MALFORMED[case]
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    argv = [verb, flag, str(path)] + (["--k-max", "1"] if verb == "deficiency" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"in.txt: line {line}:" in err
 
 
 @pytest.fixture
@@ -132,6 +144,21 @@ class TestCli:
         # poincare guard: p^n above 2^14
         assert main(["exp", "poincare", "--p", "2", "--n", "20", "--k", "1",
                      "--trials", "1"]) == 3
+
+    def test_subgroup_count_guard_exit_3(self, capsys):
+        # C(14, 7)_2 ~ 1.9e15 codim-7 subgroups: refused before any allocation.
+        assert main(["exp", "poincare", "--p", "2", "--n", "14", "--k", "7",
+                     "--trials", "1"]) == 3
+        assert "exceeds the per-level bound" in capsys.readouterr().err
+
+    def test_deficiency_level_guard_exit_3(self, tmp_path, capsys):
+        # Level 1 of F_2^20 (about 10^6 subgroups) is scanned; level 2, with
+        # C(20, 2)_2 ~ 1.8e11 subgroups, trips the guard instead of numpy
+        # failing to allocate terabytes.
+        path = tmp_path / "w2.txt"
+        write_vecset(weight_d_set(2, 20, 2), path)
+        assert main(["deficiency", "--in", str(path), "--k-max", "2"]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_exp_s_square(self, tmp_path, capsys):
         out = tmp_path / "sq.json"

@@ -17,6 +17,7 @@ from fprec.colorings import (
     hypergraph_chromatic,
     hypergraph_chromatic_bruteforce,
     partition_from_coloring,
+    proper_partitions,
     verify,
 )
 from fprec.families import (
@@ -25,9 +26,8 @@ from fprec.families import (
     family_indicator_set,
     fin2_vertices,
     square_connection_set,
-    weight_d_set,
 )
-from fprec.fpgroup import FpVec, all_vectors, hom_apply, hom_from_basis_images, rref_rank, FpMatrix
+from fprec.fpgroup import FpVec, all_vectors, hom_apply, hom_from_basis_images, rref_rank
 from fprec.setops import VecSet
 
 
@@ -176,6 +176,36 @@ class TestHypergraphChromatic:
             assert hypergraph_chromatic(hg) == hypergraph_chromatic_bruteforce(hg)
 
 
+def restricted_growth_partitions(n, r):
+    """Reference: every partition of [1, n] into at most r cells, as the
+    restricted-growth strings of itertools.product, in lexicographic order."""
+    for s in itertools.product(range(1, r + 1), repeat=n):
+        if all(c <= max(s[:i], default=0) + 1 for i, c in enumerate(s)):
+            yield partition_from_coloring(dict(zip(range(1, n + 1), s)))
+
+
+class TestProperPartitions:
+    def test_matches_filtered_restricted_growth_enumeration(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randrange(2, 7)
+            r = rng.randrange(1, n + 1)
+            edges = [
+                rng.sample(range(1, n + 1), rng.randrange(2, min(n, 3) + 1))
+                for _ in range(rng.randrange(0, 6))
+            ]
+            hg = Hypergraph.from_edge_lists(n, edges)
+            expected = [
+                part for part in restricted_growth_partitions(n, r) if verify(part, hg)[0]
+            ]
+            assert list(proper_partitions(hg, r)) == expected
+            assert find_proper_partition(hg, r) == (expected[0] if expected else None)
+
+    def test_singleton_edge_admits_none(self):
+        hg = Hypergraph.from_edge_lists(3, [{2}, {1, 3}])
+        assert list(proper_partitions(hg, 3)) == []
+
+
 class TestBridges:
     def test_worked_pair_example(self):
         fam = Hypergraph.from_edge_lists(2, [{1, 2}])
@@ -199,18 +229,18 @@ class TestBridges:
         assert ok
 
     def test_characters_single_cell(self):
-        part = characters_to_coloring([FpVec(2, (1, 1, 1, 1))], 4)
+        part = characters_to_coloring([FpVec(2, (1, 1, 1, 1)).coords], 4)
         assert part == (frozenset({1, 2, 3, 4}),)
 
     def test_characters_parity_split(self):
-        part = characters_to_coloring([FpVec(2, (1, 0, 1, 0, 1, 0))], 6)
+        part = characters_to_coloring([FpVec(2, (1, 0, 1, 0, 1, 0)).coords], 6)
         assert set(part) == {frozenset({1, 3, 5}), frozenset({2, 4, 6})}
 
     def test_characters_monochromatic_implies_membership(self):
         rng = random.Random(29)
         for _ in range(10):
             xis = [FpVec(3, tuple(rng.randrange(3) for _ in range(6))) for _ in range(2)]
-            part = characters_to_coloring(xis, 6)
+            part = characters_to_coloring([xi.coords for xi in xis], 6)
             assert len(part) <= 9
             color = {v: i for i, cell in enumerate(part) for v in cell}
             for F in itertools.combinations(range(1, 7), 3):

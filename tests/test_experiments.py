@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from fprec.colorings import Hypergraph
+from fprec.colorings import Hypergraph, verify
 from fprec.experiments import (
+    _avoiding_subgroups,
     exp_bog_scan,
     exp_ep_roundtrip,
     exp_lift_transfer,
@@ -13,8 +14,19 @@ from fprec.experiments import (
     exp_s_square,
     run_bridge_roundtrip,
 )
-from fprec.families import weight_d_set
-from fprec.fpgroup import FpVec, ResourceGuardError, all_vectors, enum_codim_subgroups
+from fprec.families import (
+    ap3_hypergraph,
+    family_indicator_set,
+    gallai_square_hypergraph,
+    weight_d_set,
+)
+from fprec.fpgroup import (
+    FpVec,
+    ResourceGuardError,
+    all_vectors,
+    enum_codim_subgroups,
+    gaussian_binomial,
+)
 from fprec.setops import VecSet, dfold_distinct_sumset
 
 
@@ -90,6 +102,48 @@ class TestEpRoundtrip:
         hg = Hypergraph.from_edge_lists(13, [{1, 2}])
         with pytest.raises(ResourceGuardError):
             run_bridge_roundtrip(2, hg)
+
+    @pytest.mark.parametrize("p, hg, k_max, budget", [
+        (2, Hypergraph.from_edge_lists(4, itertools.combinations(range(1, 5), 2)), 4, 10**5),
+        (3, ap3_hypergraph(5), 5, 200),
+        (2, gallai_square_hypergraph(2), 3, 10**5),
+    ])
+    def test_avoiding_subgroups_are_verified_enumeration(self, p, hg, k_max, budget):
+        E_fam = family_indicator_set(hg, p)
+        found, tested, k_used = _avoiding_subgroups(E_fam, k_max, budget)
+        expected = [
+            [list(row) for row in H.annihilator.entries]
+            for k in range(1, k_used + 1)
+            for H in enum_codim_subgroups(p, E_fam.n, k)
+            if verify(H, E_fam)[0]
+        ]
+        assert found == expected
+        assert tested == sum(gaussian_binomial(E_fam.n, k, p) for k in range(1, k_used + 1))
+
+    # Results recorded from the Subgroup-per-avoider driver with a separate
+    # set-partition enumerator; exhaustive (all-pairs, ap3) and sampled (gallai).
+    @pytest.mark.parametrize("p, hg, seed, results", [
+        (2, Hypergraph.from_edge_lists(5, itertools.combinations(range(1, 6), 2)), 0, {
+            "N": 5, "hypergraph_chi": 5, "uniform": True, "partition_sampling": "exhaustive",
+            "partitions_tested": 52, "proper_partitions": 1, "subgroups_tested": 373,
+            "avoiding_subgroups": 62, "subgroup_codim_scanned": 5,
+            "direction_a_uncertified": 0, "violations": [],
+        }),
+        (3, ap3_hypergraph(7), 0, {
+            "N": 7, "hypergraph_chi": 2, "uniform": True, "partition_sampling": "exhaustive",
+            "partitions_tested": 877, "proper_partitions": 579, "subgroups_tested": 1093,
+            "avoiding_subgroups": 45, "subgroup_codim_scanned": 1,
+            "direction_a_uncertified": 0, "violations": [],
+        }),
+        (2, gallai_square_hypergraph(3), 5, {
+            "N": 9, "hypergraph_chi": 2, "uniform": False, "partition_sampling": "sampled",
+            "partitions_tested": 500, "proper_partitions": 460, "subgroups_tested": 43946,
+            "avoiding_subgroups": 10240, "subgroup_codim_scanned": 2,
+            "direction_a_uncertified": 230, "violations": [],
+        }),
+    ])
+    def test_bridge_results_pinned(self, p, hg, seed, results):
+        assert run_bridge_roundtrip(p, hg, seed=seed).results == results
 
 
 class TestLiftTransfer:
