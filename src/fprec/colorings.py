@@ -66,22 +66,30 @@ class CayleyGraph:
 
 
 def build_cayley(V: VecSet, S: VecSet) -> CayleyGraph:
-    """Build Cay(V, S) with deterministic (sorted) vertex order."""
+    """Build Cay(V, S) with deterministic (sorted) vertex order.
+
+    Vectors are packed into integer codes, one byte per coordinate, and each
+    vertex x is probed at x + s for every s in S and -S, so the cost is
+    |V| * |S u -S| dict lookups.
+    """
     if V.p != S.p or V.n != S.n:
         raise ValueError("vertex set and connection set live in different groups")
     verts = V.elements
     p = V.p
-    conn = S.coord_tuples()
+    index = {int.from_bytes(bytes(v.coords), "big"): i for i, v in enumerate(verts)}
+    shifts = {int.from_bytes(bytes(c), "big") for s in S for c in (s.coords, (-s).coords)}
     edges: list[tuple[int, int]] = []
-    if S.contains_zero():
+    if 0 in shifts:
         edges.extend((i, i) for i in range(len(verts)))
-    coords = [v.coords for v in verts]
-    for i in range(len(verts)):
-        ci = coords[i]
-        for j in range(i + 1, len(verts)):
-            cj = coords[j]
-            diff = tuple((a - b) % p for a, b in zip(ci, cj))
-            if diff in conn or tuple((-x) % p for x in diff) in conn:
+        shifts.discard(0)
+    # Bytes of x+s are in [0, 2p-2]: +(128-p) sets 0x80 iff byte >= p, no carry while p < 130.
+    K = int.from_bytes(bytes([128 - p]) * V.n, "big")
+    H = int.from_bytes(b"\x80" * V.n, "big")
+    for x, i in index.items():
+        for s in shifts:
+            t = x + s
+            j = index.get(t - (((t + K) & H) >> 7) * p, -1)
+            if j > i:
                 edges.append((i, j))
     return CayleyGraph(verts, S, Graph.from_edges(len(verts), edges))
 

@@ -13,13 +13,17 @@ from .setops import VecSet
 
 
 def _read_rows(
-    path: str | Path, names: tuple[str, ...], width: Callable[..., int] | None = None
+    path: str | Path,
+    names: tuple[str, ...],
+    width: Callable[..., int] | None = None,
+    bounds: Callable[..., tuple[int, int]] | None = None,
 ) -> tuple[list[int], list[list[int]]]:
     """Parse a '# name=<int> ...' header line and the integer rows after it.
 
     Returns the header values and the rows, blank lines skipped.  width, given
-    the header values, returns the required row length.  Errors name the file
-    and the 1-based line.
+    the header values, returns the required row length; bounds returns the
+    inclusive range every value must lie in.  Errors name the file and the
+    1-based line.
     """
     lines = Path(path).read_text().splitlines()
     header = re.compile(r"#\s*" + r"\s+".join(rf"{k}=(\d+)" for k in names) + r"\s*$")
@@ -29,6 +33,7 @@ def _read_rows(
         raise ValueError(f"{path}: line 1: missing '# {usage}' header")
     values = [int(g) for g in m.groups()]
     expected = width(*values) if width else None
+    lo, hi = bounds(*values) if bounds else (None, None)
     rows = []
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
@@ -41,6 +46,8 @@ def _read_rows(
             ) from None
         if expected is not None and len(row) != expected:
             raise ValueError(f"{path}: line {lineno}: {len(row)} values, expected {expected}")
+        if bounds and not all(lo <= x <= hi for x in row):
+            raise ValueError(f"{path}: line {lineno}: values must lie in [{lo}, {hi}]")
         rows.append(row)
     return values, rows
 
@@ -63,7 +70,7 @@ def write_hypergraph(hg: Hypergraph, path: str | Path) -> None:
 
 
 def read_hypergraph(path: str | Path) -> Hypergraph:
-    (n,), edges = _read_rows(path, ("N",))
+    (n,), edges = _read_rows(path, ("N",), bounds=lambda n: (1, n))
     return Hypergraph.from_edge_lists(n, edges)
 
 
@@ -74,7 +81,7 @@ def write_graph(g: Graph, path: str | Path) -> None:
 
 
 def read_graph(path: str | Path) -> Graph:
-    (n,), edges = _read_rows(path, ("vertices",), width=lambda n: 2)
+    (n,), edges = _read_rows(path, ("vertices",), width=lambda n: 2, bounds=lambda n: (0, n - 1))
     return Graph.from_edges(n, edges)
 
 

@@ -8,6 +8,7 @@ constructions.  All outputs are canonically sorted and duplicate-free.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -46,7 +47,8 @@ class VecSet:
         return iter(self.elements)
 
     def __contains__(self, v: FpVec) -> bool:
-        return v in set(self.elements)
+        i = bisect_left(self.elements, v)
+        return i < len(self.elements) and self.elements[i] == v
 
     def contains_zero(self) -> bool:
         return any(v.is_zero() for v in self.elements)

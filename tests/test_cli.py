@@ -4,11 +4,12 @@ import pytest
 
 from fprec.cli import main
 from fprec.colorings import Graph, Hypergraph
-from fprec.families import ap3_hypergraph, weight_d_set
+from fprec.families import ap3_hypergraph, fin2_vertices, square_connection_set, weight_d_set
 from fprec.fileio import (
     read_graph,
     read_hypergraph,
     read_vecset,
+    sha256_of_file,
     write_graph,
     write_hypergraph,
     write_vecset,
@@ -50,6 +51,8 @@ MALFORMED = {
     "vecset-non-integer": ("deficiency", "--in", "# p=2 n=3\n1 0 1.5\n", 2),
     "vecset-no-header": ("deficiency", "--in", "1 0 1\n", 1),
     "hypergraph-non-integer": ("hypergraph-chi", "--in", "# N=4\n1 2\n\n\n3 four\n", 5),
+    "graph-vertex-out-of-range": ("chi", "--graph", "# vertices=3\n0 1\n1 5\n", 3),
+    "hypergraph-vertex-out-of-range": ("hypergraph-chi", "--in", "# N=4\n1 2\n3 9\n", 3),
 }
 
 
@@ -166,6 +169,23 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["results"]["chi"] == 2
         assert doc["verdicts"]["components_in_trichotomy"] is True
+
+
+# sha256 of the W=5 square-graph outputs, recorded from the pair-loop Cayley
+# build; any change to the edges changes them.
+S_SQUARE_W5_DIGESTS = {
+    "cayley": "8f7d601ff41d7ce5caee59ddf17578affd7ebc70ade1f586a54f1f63291542b9",
+    "exp": "8279e024c706c021c23322a478b72d295687f60ea1dee16238cff6e6254a809c",
+}
+
+
+def test_s_square_w5_output_digests_pinned(tmp_path):
+    v, s, g, r = (tmp_path / f for f in ("v.txt", "s.txt", "g.txt", "r.json"))
+    write_vecset(fin2_vertices(5), v)
+    write_vecset(square_connection_set(5), s)
+    assert main(["cayley", "--vertices", str(v), "--conn", str(s), "--out", str(g)]) == 0
+    assert main(["exp", "s-square", "--w", "5", "--out", str(r)]) == 0
+    assert {"cayley": sha256_of_file(g), "exp": sha256_of_file(r)} == S_SQUARE_W5_DIGESTS
 
 
 @pytest.fixture

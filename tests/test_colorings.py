@@ -74,6 +74,73 @@ class TestBuildCayley:
             build_cayley(VecSet.full(2, 2), VecSet.empty(3, 2))
 
 
+def cayley_pair_loop(V, S):
+    """Reference Cay(V, S): test each vertex pair's difference against S and -S."""
+    verts, p = V.elements, V.p
+    conn = S.coord_tuples()
+    edges = [(i, i) for i in range(len(verts))] if S.contains_zero() else []
+    for i, j in itertools.combinations(range(len(verts)), 2):
+        diff = tuple((a - b) % p for a, b in zip(verts[i].coords, verts[j].coords))
+        if diff in conn or tuple((-x) % p for x in diff) in conn:
+            edges.append((i, j))
+    return Graph.from_edges(len(verts), edges)
+
+
+def random_cayley_input(rng, p, n, case):
+    """A random V in F_p^n (not a subgroup) and S shaped by case.
+
+    Half the vertices are other vertices shifted by +-s, so that edges occur
+    even when p^n dwarfs |V|.
+    """
+    def vec():
+        return FpVec(p, tuple(rng.randrange(p) for _ in range(n)))
+
+    conn = [vec() for _ in range(rng.randint(1, 5))]
+    if case == "zero-in-S":
+        conn.append(FpVec.zero(p, n))
+    elif case == "asymmetric-S":
+        conn = [s for s in conn if not s.is_zero()] or [FpVec.basis(p, n, 1)]
+        conn = [s for i, s in enumerate(conn) if -s not in conn[:i]]
+    elif case == "empty-S":
+        conn = []
+    verts = [vec() for _ in range(rng.randint(1, 8))]
+    if conn:
+        verts += [v + rng.choice(conn) if rng.random() < 0.5 else v - rng.choice(conn)
+                  for v in verts]
+    if case == "empty-V":
+        verts = []
+    return VecSet(p, n, tuple(verts)), VecSet(p, n, tuple(conn))
+
+
+CAYLEY_ORACLE_CASES = [
+    (p, case)
+    for p in (2, 3, 5, 7, 31)
+    for case in ("random", "zero-in-S", "asymmetric-S", "empty-S", "empty-V")
+    if not (p == 2 and case == "asymmetric-S")  # -s = s over F_2
+]
+
+
+@pytest.mark.parametrize("p,case", CAYLEY_ORACLE_CASES)
+def test_build_cayley_matches_pair_loop(p, case):
+    rng = random.Random(f"{p}-{case}")
+    num_edges = 0
+    for n in range(1, 13):
+        for _ in range(3):
+            V, S = random_cayley_input(rng, p, n, case)
+            g = build_cayley(V, S).graph
+            assert g == cayley_pair_loop(V, S)
+            num_edges += sum(len(a) for a in g.adj) // 2
+            if case == "zero-in-S":
+                assert g.self_loops == frozenset(range(len(V)))
+            if case == "asymmetric-S":
+                assert S != VecSet(p, n, tuple(-s for s in S))
+            if case == "empty-S":
+                assert not S.elements and g.edges() == []
+            if case == "empty-V":
+                assert g.n == 0
+    assert (num_edges > 0) == (case not in ("empty-S", "empty-V"))
+
+
 class TestChromaticNumber:
     def test_edgeless(self):
         chi, coloring = chromatic_number_exact(Graph.from_edges(4, []))

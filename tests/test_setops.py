@@ -34,6 +34,18 @@ class TestVecSet:
         with pytest.raises(ValueError):
             VecSet(2, 2, (FpVec(3, (1, 1)),))
 
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 2)])
+    def test_contains_matches_linear_scan(self, p, n):
+        rng = random.Random(p * 100 + n)
+        pool = list(itertools.product(range(p), repeat=n))
+        # Same coordinates under another p, and vectors of another n.
+        foreign = [FpVec(11, c) for c in pool] + [
+            FpVec(p, c + (0,)) for c in pool] + [FpVec(p, c[:-1]) for c in pool]
+        for size in (0, 1, len(pool) // 2, len(pool)):
+            A = random_vecset(rng, p, n, size)
+            for v in [FpVec(p, c) for c in pool] + foreign:
+                assert (v in A) == any(v == e for e in A.elements)
+
 
 class TestDifferenceSet:
     def test_singleton_distinct(self):
