@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation failure or bad input, 3 resource guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -79,6 +80,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
+# Built once per process: repeated in-process calls of main() would
+# otherwise rebuild every subparser each time.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fprec")
     parser.add_argument("--version", action="version", version=__version__)

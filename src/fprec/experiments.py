@@ -13,20 +13,20 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
+
+import numpy as np
 
 from . import __version__
 from .bohr import bohr_deficiency
 from .colorings import (
-    CellPartition,
     Hypergraph,
     INFINITE,
     build_cayley,
-    characters_to_coloring,
     chromatic_number_exact,
-    coloring_to_avoiding_subgroup,
+    coloring_of_partition,
     components_classify,
     hypergraph_chromatic,
-    partition_from_coloring,
     proper_partitions,
     verify,
 )
@@ -158,16 +158,49 @@ def _bell(n: int) -> int:
     return row[0]
 
 
-def _random_partition(rng: random.Random, n: int, max_cells: int) -> CellPartition:
-    colors = {v: rng.randrange(1, max_cells + 1) for v in range(1, n + 1)}
-    return partition_from_coloring(colors)
+# Entries per batch in the bridge's array checks: each batch's temporaries
+# stay a few MB whatever the number of rows.
+_BATCH = 1 << 16
+
+
+def _batches(rows: int, row_size: int) -> Iterator[slice]:
+    step = max(1, _BATCH // max(1, row_size))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _monochromatic(labels: np.ndarray, edges: list[list[int]]) -> np.ndarray:
+    """Per row of labels (vertex v's label in column v - 1), the index of the
+    first edge whose vertices all share a label, or -1 if there is none."""
+    first = np.full(len(labels), -1)
+    if not edges:
+        return first
+    width = max(map(len, edges))
+    # Padding an edge with its own first vertex leaves "all labels equal" as is.
+    idx = np.array([[v - 1 for v in e] + [e[0] - 1] * (width - len(e)) for e in edges])
+    for rows in _batches(len(labels), idx.size):
+        L = labels[rows][:, idx]
+        mono = (L == L[:, :, :1]).all(axis=2)
+        first[rows] = np.where(mono.any(axis=1), mono.argmax(axis=1), -1)
+    return first
+
+
+def _kernel_meets(labels: np.ndarray, points, p: int) -> np.ndarray:
+    """Per row of labels, whether the kernel of its cell-indicator rows (the
+    characters x -> sum of x over a cell) contains one of the points."""
+    X = np.asarray(points, dtype=np.int64).reshape(len(points), labels.shape[1])
+    onehot = (labels[:, :, None] == np.arange(labels.max(initial=0) + 1)).astype(np.int64)
+    meets = np.zeros(len(labels), dtype=bool)
+    for rows in _batches(len(labels), onehot.shape[1] * onehot.shape[2] * len(X)):
+        sums = X @ onehot[rows]  # (rows, points, cells)
+        meets[rows] = (sums % p == 0).all(axis=2).any(axis=1)
+    return meets
 
 
 def _avoiding_subgroups(
     E_fam: VecSet, k_max: int, budget: int
-) -> tuple[list[list[list[int]]], int, int]:
-    """Avoiding subgroups of codim 1..k_max, each as its canonical
-    annihilator's rows; returns (found, tested, k_used)."""
+) -> tuple[list[np.ndarray], int, int]:
+    """Avoiding subgroups of codim 1..k_max as their canonical annihilators,
+    one (m, k, n) array per scanned level; returns (found, tested, k_used)."""
     p, n = E_fam.p, E_fam.n
     points = [v.coords for v in E_fam.elements]
     found = []
@@ -177,10 +210,43 @@ def _avoiding_subgroups(
         if tested + gaussian_binomial(n, k, p) > budget:
             break
         A = annihilator_array(p, n, k)
-        found += A[list(scan_avoiding(A, points, p))].tolist()
+        found.append(A[list(scan_avoiding(A, points, p))])
         tested += len(A)
         k_used = k
     return found, tested, k_used
+
+
+def _induced_violations(A: np.ndarray, edges: list[list[int]], p: int) -> list[str]:
+    """Check the partitions that the k x N annihilators in A induce, vertex v's
+    cell given by column v: each must be proper and have at most p^k cells.
+
+    Column v is coded as sum_r A[r, v] p^r, so two vertices share a cell
+    exactly when their codes are equal.  Returns one string per failure, in
+    the order of A.
+    """
+    k = A.shape[1]
+    codes = np.zeros((len(A), A.shape[2]), dtype=np.int64)
+    for r in reversed(range(k)):
+        codes = codes * p + A[:, r]
+    first = _monochromatic(codes, edges)
+    cells = 1 + (np.diff(np.sort(codes, axis=1), axis=1) != 0).sum(axis=1)
+    out = []
+    for i in np.flatnonzero((first >= 0) | (cells > p**k)):
+        if first[i] >= 0:
+            out.append(
+                f"partition induced by avoiding subgroup has monochromatic edge {edges[first[i]]}"
+            )
+        if cells[i] > p**k:
+            out.append(f"induced partition has {cells[i]} cells > p^k = {p**k}")
+    return out
+
+
+def _cells(labels) -> list[list[int]]:
+    """The cells of a label row as sorted vertex lists, ordered by least vertex."""
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(labels.tolist(), start=1):
+        cells.setdefault(c, []).append(v)
+    return sorted(cells.values())
 
 
 def run_bridge_roundtrip(
@@ -194,12 +260,20 @@ def run_bridge_roundtrip(
 ) -> ExperimentReport:
     """Exercise both directions of the coloring <-> avoiding-subgroup bridge.
 
-    Direction (a): every proper r-cell partition yields a subgroup of
-    codimension <= r; for p-uniform families it must avoid the family's
-    indicator vectors.  Direction (b): every avoiding codim-k subgroup yields
-    a proper partition with <= p^k cells.  For families whose edge sizes are
-    divisible by p but larger than p, direction (a) avoidance is recorded
-    observationally rather than asserted.
+    Direction (a): every proper partition of [1, N] yields the subgroup cut
+    out by its cell-sum characters; for p-uniform families it must avoid the
+    family's indicator vectors.  Direction (b): every avoiding codim-k
+    subgroup yields a proper partition with <= p^k cells, vertex v's cell
+    being given by column v of the annihilator.  For families whose edge
+    sizes are divisible by p but larger than p, direction (a) avoidance is
+    recorded observationally rather than asserted.
+
+    Both directions are array passes, one row per partition or avoider: a
+    partition is a row of cell labels, and an avoider's labels are its
+    columns coded as integers, sum_r A[r, v] p^r.  The cell-indicator rows of
+    a partition, cells ordered by least vertex, are already the canonical
+    annihilator of its subgroup (disjoint cells, each led by a 1 at its least
+    vertex), so no Subgroup object is built.
     """
     t0 = time.perf_counter()
     N = hg.n
@@ -212,51 +286,41 @@ def run_bridge_roundtrip(
     uniform = all(len(e) == p for e in hg.edges)
     chi = hypergraph_chromatic(hg)
     E_fam = family_indicator_set(hg, p)
+    edges = [sorted(e) for e in hg.edges]
 
     # Direction (a): partitions -> subgroups.
     if _bell(N) <= 5000:
         partitions_tested = _bell(N)
-        proper = proper_partitions(hg, N)
+        candidates = [
+            [color[v] for v in range(1, N + 1)]
+            for color in map(coloring_of_partition, proper_partitions(hg, N))
+        ]
         sampling = "exhaustive"
     else:
         rng = random.Random(seed)
         partitions_tested = partition_samples
-        draws = [_random_partition(rng, N, min(N, 4)) for _ in range(partition_samples)]
-        proper = (part for part in draws if verify(part, hg)[0])
+        cap = min(N, 4)
+        candidates = [
+            [rng.randrange(1, cap + 1) for _ in range(N)] for _ in range(partition_samples)
+        ]
         sampling = "sampled"
-    violations: list[str] = []
-    uncertified = 0
-    proper_count = 0
-    for part in proper:
-        proper_count += 1
-        H = coloring_to_avoiding_subgroup(part, hg, p)
-        if H.codim > len(part):
-            violations.append(f"codim {H.codim} exceeds cell count {len(part)}")
-        avoid_ok, _ = verify(H, E_fam)
-        if not avoid_ok:
-            if uniform:
-                violations.append(
-                    f"uniform family: subgroup from partition {sorted(map(sorted, part))} "
-                    "fails to avoid the indicator set"
-                )
-            else:
-                uncertified += 1
+    labels = np.array(candidates, dtype=np.int64).reshape(len(candidates), N)
+    # Keeps the proper draws; exhaustive candidates are proper, and this re-checks them.
+    labels = labels[_monochromatic(labels, edges) < 0]
+    meets = _kernel_meets(labels, [v.coords for v in E_fam.elements], p)
+    violations = [
+        f"uniform family: subgroup from partition {_cells(labels[i])} "
+        "fails to avoid the indicator set"
+        for i in np.flatnonzero(meets & uniform)
+    ]
+    uncertified = 0 if uniform else int(meets.sum())
 
     # Direction (b): avoiding subgroups -> partitions.
     if k_max is None:
         k_max = N
     found, tested, k_used = _avoiding_subgroups(E_fam, k_max, subgroup_budget)
-    for rows in found:
-        part = characters_to_coloring(rows, N)
-        proper, bad = verify(part, hg)
-        if not proper:
-            violations.append(
-                f"partition induced by avoiding subgroup has monochromatic edge {bad}"
-            )
-        if len(part) > p ** len(rows):
-            violations.append(
-                f"induced partition has {len(part)} cells > p^k = {p ** len(rows)}"
-            )
+    for A in found:
+        violations += _induced_violations(A, edges, p)
 
     verdicts = {"no_violations": not violations}
     results = {
@@ -265,9 +329,9 @@ def run_bridge_roundtrip(
         "uniform": uniform,
         "partition_sampling": sampling,
         "partitions_tested": partitions_tested,
-        "proper_partitions": proper_count,
+        "proper_partitions": len(labels),
         "subgroups_tested": tested,
-        "avoiding_subgroups": len(found),
+        "avoiding_subgroups": sum(map(len, found)),
         "subgroup_codim_scanned": k_used,
         "direction_a_uncertified": uncertified,
         "violations": violations,

@@ -59,7 +59,9 @@ def write_vecset(S: VecSet, path: str | Path) -> None:
 
 
 def read_vecset(path: str | Path) -> VecSet:
-    (p, n), rows = _read_rows(path, ("p", "n"), width=lambda p, n: n)
+    (p, n), rows = _read_rows(
+        path, ("p", "n"), width=lambda p, n: n, bounds=lambda p, n: (0, p - 1)
+    )
     return VecSet(p, n, tuple(FpVec(p, tuple(row)) for row in rows))
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fprec.cli import main
+from fprec.cli import build_parser, main
 from fprec.colorings import Graph, Hypergraph
 from fprec.families import ap3_hypergraph, fin2_vertices, square_connection_set, weight_d_set
 from fprec.fileio import (
@@ -53,6 +53,7 @@ MALFORMED = {
     "hypergraph-non-integer": ("hypergraph-chi", "--in", "# N=4\n1 2\n\n\n3 four\n", 5),
     "graph-vertex-out-of-range": ("chi", "--graph", "# vertices=3\n0 1\n1 5\n", 3),
     "hypergraph-vertex-out-of-range": ("hypergraph-chi", "--in", "# N=4\n1 2\n3 9\n", 3),
+    "vecset-coordinate-out-of-range": ("deficiency", "--in", "# p=2 n=3\n3 -1 2\n", 2),
 }
 
 
@@ -162,6 +163,31 @@ class TestCli:
         write_vecset(weight_d_set(2, 20, 2), path)
         assert main(["deficiency", "--in", str(path), "--k-max", "2"]) == 3
         assert capsys.readouterr().out == ""
+
+    def test_vecset_coordinate_out_of_range_message(self, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        path.write_text("# p=2 n=3\n1 0 1\n3 -1 2\n")
+        assert main(["deficiency", "--in", str(path), "--k-max", "1"]) == 2
+        assert f"{path}: line 3: values must lie in [0, 1]" in capsys.readouterr().err
+
+    def test_reused_parser_keeps_no_flags(self, tmp_path, capsys):
+        # build_parser is cached: consecutive calls share one parser, and no
+        # value of one call may leak into the defaults of the next.
+        assert build_parser() is build_parser()
+        out = tmp_path / "r.json"
+        assert main(["exp", "poincare", "--seed", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["parameters"]["seed"] == 5
+        assert main(["exp", "poincare"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["parameters"] == {"p": 2, "n": 4, "k": 1, "trials": 100, "seed": 0}
+        with pytest.raises(SystemExit) as exc:
+            main(["exp", "poincare", "--no-such-flag"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["exp", "poincare", "--seed", "x"])
+        assert exc.value.code == 2
+        assert main(["exp", "poincare", "--trials", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["parameters"]["seed"] == 0
 
     def test_exp_s_square(self, tmp_path, capsys):
         out = tmp_path / "sq.json"

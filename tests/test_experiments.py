@@ -1,11 +1,24 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
-from fprec.colorings import Hypergraph, verify
+from fprec.colorings import (
+    Hypergraph,
+    characters_to_coloring,
+    coloring_to_avoiding_subgroup,
+    hypergraph_chromatic,
+    partition_from_coloring,
+    proper_partitions,
+    verify,
+)
 from fprec.experiments import (
     _avoiding_subgroups,
+    _induced_violations,
+    _kernel_meets,
+    _monochromatic,
     exp_bog_scan,
     exp_ep_roundtrip,
     exp_lift_transfer,
@@ -21,9 +34,12 @@ from fprec.families import (
     weight_d_set,
 )
 from fprec.fpgroup import (
+    FpMatrix,
     FpVec,
     ResourceGuardError,
+    Subgroup,
     all_vectors,
+    annihilator_array,
     enum_codim_subgroups,
     gaussian_binomial,
 )
@@ -54,6 +70,85 @@ def bog_scan_reference(p, d, n, r, budget, seed, c_max):
         key = "none" if c is None else str(c)
         hist[key] = hist.get(key, 0) + 1
     return dict(sorted(hist.items()))
+
+
+def induced_reference(rows_list, hg, p):
+    """Direction (b) one avoider at a time: the partition its characters
+    induce, checked with verify and against the p^k cell bound."""
+    out = []
+    for rows in rows_list:
+        part = characters_to_coloring(rows, hg.n)
+        proper, bad = verify(part, hg)
+        if not proper:
+            out.append(f"partition induced by avoiding subgroup has monochromatic edge {bad}")
+        if len(part) > p ** len(rows):
+            out.append(f"induced partition has {len(part)} cells > p^k = {p ** len(rows)}")
+    return out
+
+
+def bridge_reference(p, hg, seed=0, partition_samples=500, subgroup_budget=100_000):
+    """run_bridge_roundtrip's results computed one partition and one subgroup
+    at a time: a Subgroup per proper partition, checked with verify, and the
+    avoiders found by enum_codim_subgroups and verify."""
+    N = hg.n
+    E_fam = family_indicator_set(hg, p)
+    uniform = all(len(e) == p for e in hg.edges)
+    bell = [1]
+    for i in range(N):
+        bell.append(sum(math.comb(i, j) * bell[j] for j in range(i + 1)))
+    if bell[N] <= 5000:
+        proper = list(proper_partitions(hg, N))
+        tested, sampling = bell[N], "exhaustive"
+    else:
+        rng = random.Random(seed)
+        draws = [
+            partition_from_coloring(
+                {v: rng.randrange(1, min(N, 4) + 1) for v in range(1, N + 1)}
+            )
+            for _ in range(partition_samples)
+        ]
+        proper = [part for part in draws if verify(part, hg)[0]]
+        tested, sampling = partition_samples, "sampled"
+    violations = []
+    uncertified = 0
+    for part in proper:
+        H = coloring_to_avoiding_subgroup(part, hg, p)
+        if H.codim > len(part):
+            violations.append(f"codim {H.codim} exceeds cell count {len(part)}")
+        if not verify(H, E_fam)[0]:
+            if uniform:
+                violations.append(
+                    f"uniform family: subgroup from partition {sorted(map(sorted, part))} "
+                    "fails to avoid the indicator set"
+                )
+            else:
+                uncertified += 1
+    found, scanned, k_used = [], 0, 0
+    for k in range(1, N + 1):
+        if scanned + gaussian_binomial(N, k, p) > subgroup_budget:
+            break
+        for H in enum_codim_subgroups(p, N, k):
+            if verify(H, E_fam)[0]:
+                found.append([list(row) for row in H.annihilator.entries])
+        scanned += gaussian_binomial(N, k, p)
+        k_used = k
+    violations += induced_reference(found, hg, p)
+    return {
+        "N": N, "hypergraph_chi": hypergraph_chromatic(hg), "uniform": uniform,
+        "partition_sampling": sampling, "partitions_tested": tested,
+        "proper_partitions": len(proper), "subgroups_tested": scanned,
+        "avoiding_subgroups": len(found), "subgroup_codim_scanned": k_used,
+        "direction_a_uncertified": uncertified, "violations": violations,
+    }
+
+
+def random_bridge_hypergraph(rng, p, N, edge_count, uniform):
+    """Edges of size p, plus (non-uniform) one edge of size 2p and further
+    edges of any size divisible by p."""
+    sizes = [p] if uniform else list(range(p, N + 1, p))
+    edges = [] if uniform else [rng.sample(range(1, N + 1), 2 * p)]
+    edges += [rng.sample(range(1, N + 1), rng.choice(sizes)) for _ in range(edge_count)]
+    return Hypergraph.from_edge_lists(N, edges)
 
 
 class TestSSquare:
@@ -117,8 +212,96 @@ class TestEpRoundtrip:
             for H in enum_codim_subgroups(p, E_fam.n, k)
             if verify(H, E_fam)[0]
         ]
-        assert found == expected
+        assert [A.shape[1:] for A in found] == [(k, E_fam.n) for k in range(1, k_used + 1)]
+        assert [a.tolist() for A in found for a in A] == expected
         assert tested == sum(gaussian_binomial(E_fam.n, k, p) for k in range(1, k_used + 1))
+
+    # (p, N, edges, uniform, seed, subgroup_budget); N >= 9 takes the sampled
+    # branch (more than 5000 set partitions).
+    @pytest.mark.parametrize("p, N, m, uniform, seed, budget", [
+        (2, 3, 0, True, 0, 10**5), (2, 4, 3, True, 1, 10**5), (2, 5, 6, True, 2, 10**5),
+        (2, 6, 4, False, 3, 10**5), (2, 7, 8, True, 4, 3000), (2, 8, 5, False, 5, 3000),
+        (3, 4, 2, True, 6, 10**5), (3, 6, 5, True, 7, 2000), (3, 6, 3, False, 8, 2000),
+        (3, 8, 6, False, 9, 3300), (5, 5, 1, True, 10, 25_000), (5, 6, 3, True, 11, 4000),
+        (2, 9, 7, True, 12, 3000), (2, 9, 4, False, 13, 3000), (3, 10, 6, False, 14, 2000),
+        (5, 10, 2, False, 15, 2000),
+    ])
+    def test_bridge_matches_reference(self, p, N, m, uniform, seed, budget):
+        hg = random_bridge_hypergraph(random.Random(seed), p, N, m, uniform)
+        assert all(len(e) == p for e in hg.edges) == uniform
+        report = run_bridge_roundtrip(p, hg, seed=seed, subgroup_budget=budget)
+        expected = bridge_reference(p, hg, seed=seed, subgroup_budget=budget)
+        assert report.results == expected
+        assert report.results["partition_sampling"] == ("exhaustive" if N <= 8 else "sampled")
+
+    @pytest.mark.parametrize("p, hg", [
+        (2, Hypergraph.from_edge_lists(5, [{1, 2}, {2, 3}, {3, 4}, {1, 5}])),
+        (2, Hypergraph.from_edge_lists(6, [{1, 2, 3, 4}, {5, 6}, {2, 5}, {1, 2, 5, 6}])),
+        (3, Hypergraph.from_edge_lists(6, [{1, 2, 3}, {4, 5, 6}, {1, 2, 3, 4, 5, 6}])),
+    ])
+    def test_induced_violations_match_reference(self, p, hg):
+        # Every annihilator of levels 1 and 2, avoiding or not, so many rows
+        # induce a monochromatic edge; plus k = 1 rows with more than p cells.
+        edges = [sorted(e) for e in hg.edges]
+        for k in (1, 2):
+            A = annihilator_array(p, hg.n, k)
+            got = _induced_violations(A, edges, p)
+            assert got == induced_reference(A.tolist(), hg, p)
+            assert any("monochromatic" in s for s in got)
+        rng = np.random.default_rng(p)
+        A = rng.integers(0, hg.n, size=(30, 1, hg.n), dtype=np.int8)
+        got = _induced_violations(A, edges, p)
+        assert got == induced_reference(A.tolist(), hg, p)
+        assert any("cells > p^k" in s for s in got)
+
+    def test_monochromatic_first_edge_in_edge_order(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            N = rng.randrange(2, 9)
+            hg = Hypergraph.from_edge_lists(N, [
+                rng.sample(range(1, N + 1), rng.randrange(2, N + 1))
+                for _ in range(rng.randrange(1, 7))
+            ])
+            edges = [sorted(e) for e in hg.edges]
+            labels = np.array([[rng.randrange(1, 3) for _ in range(N)] for _ in range(40)])
+            first = _monochromatic(labels, edges)
+            for row, f in zip(labels.tolist(), first.tolist()):
+                ok, bad = verify(partition_from_coloring(dict(enumerate(row, 1))), hg)
+                assert (f == -1) == ok
+                assert ok or edges[f] == bad
+
+    def test_kernel_meets_matches_subgroup_contains(self):
+        rng = random.Random(37)
+        for p in (2, 3, 5):
+            for _ in range(10):
+                N = rng.randrange(1, 7)
+                labels = np.array([[rng.randrange(3) for _ in range(N)] for _ in range(20)])
+                points = [tuple(rng.randrange(p) for _ in range(N))
+                          for _ in range(rng.randrange(0, 4))]
+                expected = []
+                for row in labels.tolist():
+                    cells = [[int(c == lab) for c in row] for lab in sorted(set(row))]
+                    H = Subgroup.from_dual_vectors([FpVec(p, tuple(r)) for r in cells], p=p, n=N)
+                    expected.append(any(H.contains(FpVec(p, x)) for x in points))
+                assert _kernel_meets(labels, points, p).tolist() == expected
+
+    @pytest.mark.parametrize("p, hg", [
+        (2, Hypergraph.from_edge_lists(5, itertools.combinations(range(1, 6), 2))),
+        (2, gallai_square_hypergraph(2)),
+        (3, ap3_hypergraph(7)),
+        (2, Hypergraph.from_edge_lists(6, [{1, 2}, {3, 4, 5, 6}, {2, 3}])),
+    ])
+    def test_cell_indicators_are_the_canonical_annihilator(self, p, hg):
+        # run_bridge_roundtrip reads a partition's subgroup off its cell
+        # indicators without building it; this is why that is exact, and why
+        # the subgroup's codimension is exactly the cell count.
+        parts = list(proper_partitions(hg, hg.n))
+        assert parts
+        for part in parts:
+            H = coloring_to_avoiding_subgroup(part, hg, p)
+            cells = tuple(tuple(int(v in cell) for v in range(1, hg.n + 1)) for cell in part)
+            assert H.annihilator == FpMatrix(p, cells)
+            assert H.codim == len(part)
 
     # Results recorded from the Subgroup-per-avoider driver with a separate
     # set-partition enumerator; exhaustive (all-pairs, ap3) and sampled (gallai).
