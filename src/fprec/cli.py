@@ -64,14 +64,14 @@ def _emit(doc: dict, out: str | None, fmt: str) -> None:
         sys.stdout.write(text)
 
 
-def _print_wall_time(seconds: float) -> None:
+def _print_wall_time(t0: float) -> None:
     # Timing goes to stderr so that reports stay byte-identical across reruns.
-    print(f"# wall time: {seconds:.3f}s", file=sys.stderr)
+    print(f"# wall time: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
 
 
-def _report_exit(report: ExperimentReport, out: str | None, fmt: str) -> int:
+def _report_exit(report: ExperimentReport, out: str | None, fmt: str, t0: float) -> int:
     _emit(report.to_dict(), out, fmt)
-    _print_wall_time(report.wall_time_s)
+    _print_wall_time(t0)
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
             doc = report.to_dict()
             doc["input_digest"] = sha256_of_file(args.infile)
             _emit(doc, args.out, args.format)
-            _print_wall_time(time.perf_counter() - t0)
+            _print_wall_time(t0)
             return EXIT_OK
 
         if args.command == "chi":
@@ -192,12 +192,12 @@ def main(argv: list[str] | None = None) -> int:
             valid = verify(coloring, g)[0] if coloring is not None else None
             doc = {
                 "chi": "inf" if chi == INFINITE else chi,
-                "coloring": coloring and [coloring[i] for i in sorted(coloring)],
+                "coloring": list(coloring) if coloring is not None else None,
                 "coloring_valid": valid,
                 "input_digests": digests,
             }
             _emit(doc, args.out, args.format)
-            _print_wall_time(time.perf_counter() - t0)
+            _print_wall_time(t0)
             return EXIT_OK if valid in (True, None) else EXIT_VALIDATION
 
         if args.command == "cayley":
@@ -220,10 +220,10 @@ def main(argv: list[str] | None = None) -> int:
             hg = read_hypergraph(args.infile)
             report = run_bridge_roundtrip(args.p, hg, seed=args.seed)
             report.input_digests["hypergraph_file"] = sha256_of_file(args.infile)
-            return _report_exit(report, args.out, args.format)
+            return _report_exit(report, args.out, args.format, t0)
 
         if args.command == "exp":
-            return _report_exit(_run_exp(args), args.out, args.format)
+            return _report_exit(_run_exp(args), args.out, args.format, t0)
 
         raise ValueError(f"unknown command {args.command!r}")
     except ResourceGuardError as exc:

@@ -13,11 +13,11 @@ from .setops import VecSet
 
 INFINITE = float("inf")
 
-# A coloring maps vertex -> color index (colors start at 1).
-Coloring = dict[int, int]
-
-# A cell partition is a tuple of disjoint nonempty frozensets covering [1, N].
-CellPartition = tuple[frozenset[int], ...]
+# A coloring is the color, counted from 1, of each vertex in vertex order:
+# graph vertex v sits at index v, hypergraph vertex v at index v - 1.  A
+# partition is a coloring in restricted-growth form, its cells numbered by
+# their least vertex.
+Coloring = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def _greedy_clique(g: Graph) -> list[int]:
 
 def _dsatur(g: Graph) -> Coloring:
     """DSATUR heuristic coloring; ties break by degree, then lowest index."""
-    colors: Coloring = {}
+    colors = [0] * g.n
     sat: list[set[int]] = [set() for _ in range(g.n)]
     uncolored = set(range(g.n))
     while uncolored:
@@ -123,7 +123,7 @@ def _dsatur(g: Graph) -> Coloring:
         uncolored.discard(v)
         for u in g.adj[v]:
             sat[u].add(c)
-    return colors
+    return tuple(colors)
 
 
 def _find_coloring(g: Graph, r: int) -> Coloring | None:
@@ -132,8 +132,6 @@ def _find_coloring(g: Graph, r: int) -> Coloring | None:
     Branches on the most saturated uncolored vertex; new colors are introduced
     in ascending order, so the search is run-to-run deterministic.
     """
-    if g.n == 0:
-        return {}
     colors: dict[int, int] = {}
     sat: list[set[int]] = [set() for _ in range(g.n)]
 
@@ -169,7 +167,7 @@ def _find_coloring(g: Graph, r: int) -> Coloring | None:
             del colors[v]
         return False
 
-    return dict(colors) if rec(0) else None
+    return tuple(colors[v] for v in range(g.n)) if rec(0) else None
 
 
 def chromatic_number_exact(
@@ -185,10 +183,10 @@ def chromatic_number_exact(
     if graph.has_self_loop:
         return INFINITE, None
     if graph.n == 0:
-        return 0, {}
+        return 0, ()
     lb = max(1, len(_greedy_clique(graph)))
     heur = _dsatur(graph)
-    ub = max(heur.values())
+    ub = max(heur)
     best, witness = ub, heur
     if max_colors is not None and lb > max_colors:
         return max_colors + 1, None
@@ -199,7 +197,7 @@ def chromatic_number_exact(
         attempt = _find_coloring(graph, target)
         if attempt is None:
             break
-        best, witness = max(attempt.values()) if attempt else 1, attempt
+        best, witness = max(attempt), attempt
     if max_colors is not None and best > max_colors:
         return max_colors + 1, None
     return best, witness
@@ -285,16 +283,16 @@ class Hypergraph:
         return cls(n, frozenset(frozenset(e) for e in edges))
 
 
-def _monochromatic_edge(hg: Hypergraph, color_of: dict[int, int]) -> frozenset[int] | None:
+def _monochromatic_edge(hg: Hypergraph, coloring: Coloring) -> frozenset[int] | None:
     for e in hg.edges:
         it = iter(e)
-        c0 = color_of[next(it)]
-        if all(color_of[v] == c0 for v in it):
+        c0 = coloring[next(it) - 1]
+        if all(coloring[v - 1] == c0 for v in it):
             return e
     return None
 
 
-def proper_partitions(hg: Hypergraph, r: int) -> Iterator[CellPartition]:
+def proper_partitions(hg: Hypergraph, r: int) -> Iterator[Coloring]:
     """Every partition of [1, N] into at most r cells with no monochromatic
     edge, in restricted-growth order: backtracking over vertex colors with
     new-color symmetry breaking, each edge checked once its last vertex has
@@ -303,38 +301,25 @@ def proper_partitions(hg: Hypergraph, r: int) -> Iterator[CellPartition]:
         return
     by_last: dict[int, list[list[int]]] = {}
     for e in hg.edges:
-        *rest, last = sorted(e)
+        *rest, last = sorted(v - 1 for v in e)
         by_last.setdefault(last, []).append(rest)
-    colors: dict[int, int] = {}
+    colors = [0] * hg.n
 
-    def rec(v: int, used: int) -> Iterator[CellPartition]:
-        if v > hg.n:
-            yield partition_from_coloring(colors)
+    def rec(v: int, used: int) -> Iterator[Coloring]:
+        if v == hg.n:
+            yield tuple(colors)
             return
         for c in range(1, min(used + 1, r) + 1):
             if all(any(colors[u] != c for u in rest) for rest in by_last.get(v, ())):
                 colors[v] = c
                 yield from rec(v + 1, max(used, c))
 
-    yield from rec(1, 0)
+    yield from rec(0, 0)
 
 
-def find_proper_partition(hg: Hypergraph, r: int) -> CellPartition | None:
+def find_proper_partition(hg: Hypergraph, r: int) -> Coloring | None:
     """The first of proper_partitions(hg, r), or None."""
     return next(proper_partitions(hg, r), None)
-
-
-def partition_from_coloring(color_of: dict[int, int]) -> CellPartition:
-    """Cells ordered by their least vertex."""
-    cells: dict[int, set[int]] = {}
-    for v, c in color_of.items():
-        cells.setdefault(c, set()).add(v)
-    ordered = sorted(cells.values(), key=min)
-    return tuple(frozenset(c) for c in ordered)
-
-
-def coloring_of_partition(part: CellPartition) -> dict[int, int]:
-    return {v: i + 1 for i, cell in enumerate(part) for v in cell}
 
 
 def hypergraph_chromatic(hg: Hypergraph) -> int:
@@ -355,77 +340,69 @@ def hypergraph_chromatic_bruteforce(hg: Hypergraph) -> int:
         return 1
     for r in range(1, hg.n + 1):
         for assignment in itertools.product(range(1, r + 1), repeat=hg.n):
-            color_of = {v: assignment[v - 1] for v in range(1, hg.n + 1)}
-            if _monochromatic_edge(hg, color_of) is None:
+            if _monochromatic_edge(hg, assignment) is None:
                 return r
     raise AssertionError("unreachable for edges of size >= 2")
 
 
-def coloring_to_avoiding_subgroup(
-    part: CellPartition, fam: Hypergraph, p: int
-) -> Subgroup:
-    """Build the subgroup cut out by the cell-sum characters of a proper partition.
+def coloring_to_avoiding_subgroup(coloring: Coloring, fam: Hypergraph, p: int) -> Subgroup:
+    """Build the subgroup cut out by the cell-sum characters of a proper coloring.
 
-    Row j of the annihilator sums the coordinates indexed by cell j.  For
-    p-uniform families a proper partition guarantees the subgroup avoids the
-    family's indicator vectors; edge sizes must at least be divisible by p.
+    The annihilator sums the coordinates of each color class, classes ordered
+    by their least vertex.  For p-uniform families a proper coloring
+    guarantees the subgroup avoids the family's indicator vectors; edge sizes
+    must at least be divisible by p.
     """
-    verts = sorted(v for cell in part for v in cell)
-    if verts != list(range(1, fam.n + 1)):
-        raise ValueError("partition cells must exactly cover [1, N]")
+    if len(coloring) != fam.n:
+        raise ValueError(f"coloring has {len(coloring)} colors for N={fam.n} vertices")
     for e in fam.edges:
         if len(e) % p != 0:
             raise ValueError(f"edge {sorted(e)} has size not divisible by p={p}")
-    color_of = coloring_of_partition(part)
-    bad = _monochromatic_edge(fam, color_of)
+    bad = _monochromatic_edge(fam, coloring)
     if bad is not None:
-        raise ValueError(f"edge {sorted(bad)} is monochromatic under the partition")
-    rows = [
-        DualVec(p, tuple(1 if v in cell else 0 for v in range(1, fam.n + 1)))
-        for cell in part
-    ]
+        raise ValueError(f"edge {sorted(bad)} is monochromatic under the coloring")
+    rows = [DualVec(p, tuple(int(c == j) for c in coloring)) for j in dict.fromkeys(coloring)]
     return Subgroup.from_dual_vectors(rows, p=p, n=fam.n)
 
 
-def characters_to_coloring(rows: Sequence[Sequence[int]], N: int) -> CellPartition:
+def characters_to_coloring(rows: Sequence[Sequence[int]], N: int) -> Coloring:
     """Partition [1, N] by the joint character values on the basis vectors.
 
     rows are the characters' coordinates, such as an annihilator's rows; the
-    key of vertex v is column v.
+    key of vertex v is column v, and cells are numbered by their least vertex.
     """
     if not rows:
         raise ValueError("need at least one character")
     if any(len(row) < N for row in rows):
         raise ValueError(f"character dimension smaller than N={N}")
-    cells: dict[tuple[int, ...], set[int]] = {}
-    for v, key in zip(range(1, N + 1), zip(*rows)):
-        cells.setdefault(key, set()).add(v)
-    ordered = sorted(cells.values(), key=min)
-    return tuple(frozenset(c) for c in ordered)
+    label: dict[tuple[int, ...], int] = {}
+    return tuple(label.setdefault(key, len(label) + 1) for _, key in zip(range(N), zip(*rows)))
 
 
 def verify(witness, against) -> tuple[bool, object]:
     """Validate a coloring against a (hyper)graph or a subgroup against a set.
 
-    Returns (True, None) or (False, counterexample).
+    Returns (True, None) or (False, counterexample): an edge (u, v) of a
+    graph, the sorted vertices of a hypergraph edge, or a point of the set.
     """
-    if isinstance(witness, dict) and isinstance(against, (Graph, CayleyGraph)):
-        graph = _as_graph(against)
-        for u, v in graph.edges():
-            if witness[u] == witness[v]:
-                return False, (u, v)
-        return True, None
-    if isinstance(witness, tuple) and isinstance(against, Hypergraph):
-        color_of = coloring_of_partition(witness)
-        if sorted(color_of) != list(range(1, against.n + 1)):
-            raise ValueError("partition does not cover the vertex set")
-        bad = _monochromatic_edge(against, color_of)
+    if isinstance(against, Hypergraph):
+        if len(witness) != against.n:
+            raise ValueError("coloring does not cover the vertex set")
+        bad = _monochromatic_edge(against, witness)
         return (bad is None), (sorted(bad) if bad is not None else None)
-    if isinstance(witness, Subgroup) and isinstance(against, VecSet):
+    if isinstance(against, VecSet):
+        if (getattr(witness, "p", None), getattr(witness, "n", None)) != (against.p, against.n):
+            raise ValueError(f"witness is not a subgroup of F_{against.p}^{against.n}")
         for s in against.elements:
             if witness.contains(s):
                 return False, s
         return True, None
-    raise ValueError(
-        f"cannot verify {type(witness).__name__} against {type(against).__name__}"
-    )
+    if isinstance(against, (Graph, CayleyGraph)):
+        graph = _as_graph(against)
+        if len(witness) != graph.n:
+            raise ValueError("coloring does not cover the vertex set")
+        for u, v in graph.edges():
+            if witness[u] == witness[v]:
+                return False, (u, v)
+        return True, None
+    raise ValueError(f"cannot verify against {type(against).__name__}")

@@ -2,16 +2,16 @@
 
 Each driver returns an ExperimentReport; every witness embedded in a report
 is validated before the report is emitted.  Reports serialize to
-byte-identical JSON across reruns with identical inputs (timing is kept out
-of the serialized payload and reported separately).
+byte-identical JSON across reruns with identical inputs; they carry no
+timing.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -24,7 +24,6 @@ from .colorings import (
     INFINITE,
     build_cayley,
     chromatic_number_exact,
-    coloring_of_partition,
     components_classify,
     hypergraph_chromatic,
     proper_partitions,
@@ -38,11 +37,13 @@ from .families import (
     square_connection_set,
     weight_d_set,
 )
+from .fileio import digest_of_text
 from .fpgroup import (
     ResourceGuardError,
     all_vectors,
     annihilator_array,
     gaussian_binomial,
+    hom_apply,
     hom_from_basis_images,
     scan_avoiding,
 )
@@ -62,7 +63,6 @@ class ExperimentReport:
     results: dict
     verdicts: dict[str, bool]
     input_digests: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -81,14 +81,10 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        # Wall time deliberately excluded: reports must be byte-identical
-        # across reruns with identical inputs.
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _vecset_digest(S: VecSet) -> str:
-    from .fileio import digest_of_text
-
     body = f"p={S.p} n={S.n};" + ";".join(
         ",".join(str(c) for c in v.coords) for v in S.elements
     )
@@ -96,8 +92,6 @@ def _vecset_digest(S: VecSet) -> str:
 
 
 def _hypergraph_digest(hg: Hypergraph) -> str:
-    from .fileio import digest_of_text
-
     body = f"N={hg.n};" + ";".join(
         ",".join(str(v) for v in e) for e in sorted(sorted(e) for e in hg.edges)
     )
@@ -114,7 +108,6 @@ def exp_s_square(W: int) -> ExperimentReport:
     graph on 2-element window subsets."""
     if not 2 <= W <= 8:
         raise ValueError(f"W must lie in [2, 8], got {W}")
-    t0 = time.perf_counter()
     V = fin2_vertices(W)
     S = square_connection_set(W)
     cay = build_cayley(V, S)
@@ -136,7 +129,7 @@ def exp_s_square(W: int) -> ExperimentReport:
         "num_vertices": len(V),
         "num_edges": len(cay.graph.edges()),
         "component_histogram": dict(sorted(histogram.items())),
-        "coloring": [coloring[i] for i in range(len(V))] if coloring else None,
+        "coloring": list(coloring) if coloring is not None else None,
     }
     return ExperimentReport(
         "s_square",
@@ -144,7 +137,6 @@ def exp_s_square(W: int) -> ExperimentReport:
         results,
         verdicts,
         {"vertices": _vecset_digest(V), "connection": _vecset_digest(S)},
-        time.perf_counter() - t0,
     )
 
 
@@ -199,20 +191,18 @@ def _kernel_meets(labels: np.ndarray, points, p: int) -> np.ndarray:
 def _avoiding_subgroups(
     E_fam: VecSet, k_max: int, budget: int
 ) -> tuple[list[np.ndarray], int, int]:
-    """Avoiding subgroups of codim 1..k_max as their canonical annihilators,
-    one (m, k, n) array per scanned level; returns (found, tested, k_used)."""
+    """Avoiding subgroups of codim 1..k_used as their canonical annihilators,
+    one (m, k, n) array per scanned level, where k_used is k_max cut to the
+    levels that fit in the budget; returns (found, tested, k_used)."""
     p, n = E_fam.p, E_fam.n
     points = [v.coords for v in E_fam.elements]
+    k_used = max(0, min(k_max, _feasible_k_max(p, n, budget)))
     found = []
     tested = 0
-    k_used = 0
-    for k in range(1, k_max + 1):
-        if tested + gaussian_binomial(n, k, p) > budget:
-            break
+    for k in range(1, k_used + 1):
         A = annihilator_array(p, n, k)
         found.append(A[list(scan_avoiding(A, points, p))])
         tested += len(A)
-        k_used = k
     return found, tested, k_used
 
 
@@ -275,7 +265,6 @@ def run_bridge_roundtrip(
     annihilator of its subgroup (disjoint cells, each led by a 1 at its least
     vertex), so no Subgroup object is built.
     """
-    t0 = time.perf_counter()
     N = hg.n
     _guard(N <= 12, f"N={N} exceeds the bridge experiment bound 12")
     if p not in (2, 3, 5):
@@ -291,10 +280,7 @@ def run_bridge_roundtrip(
     # Direction (a): partitions -> subgroups.
     if _bell(N) <= 5000:
         partitions_tested = _bell(N)
-        candidates = [
-            [color[v] for v in range(1, N + 1)]
-            for color in map(coloring_of_partition, proper_partitions(hg, N))
-        ]
+        candidates = list(proper_partitions(hg, N))
         sampling = "exhaustive"
     else:
         rng = random.Random(seed)
@@ -342,7 +328,6 @@ def run_bridge_roundtrip(
         results,
         verdicts,
         {"hypergraph": _hypergraph_digest(hg)},
-        time.perf_counter() - t0,
     )
 
 
@@ -375,15 +360,12 @@ def exp_lift_transfer(
 ) -> ExperimentReport:
     """Pull S back through a seeded covering homomorphism into the weight-d
     slice, and report deficiency levels side by side (observational)."""
-    t0 = time.perf_counter()
     if d % p != 0 or d <= 2:
         raise ValueError(f"d must be > 2 and divisible by p, got d={d}, p={p}")
     if m < p**n:
         raise ValueError(f"m={m} too small for a covering map; need m >= p^n = {p**n}")
     if S.p != p or S.n != n:
         raise ValueError("S must live in F_p^n")
-    import math
-
     _guard(math.comb(m, d) <= 200_000, f"C({m}, {d}) exceeds the slice budget")
     rng = random.Random(seed)
     targets = list(all_vectors(p, n))
@@ -392,9 +374,7 @@ def exp_lift_transfer(
     rho = hom_from_basis_images(columns)
     E = weight_d_set(p, m, d)
     S_lift = preimage_intersect(rho, S, E)
-    mapped_ok = all(
-        verify_mapped in S for verify_mapped in _images(rho, S_lift)
-    )
+    mapped_ok = all(hom_apply(rho, x) in S for x in S_lift.elements)
     k_S = _feasible_k_max(p, n, budget=50_000)
     k_lift = _feasible_k_max(p, m, budget=50_000)
     rep_S = bohr_deficiency(S, k_S, "S") if k_S >= 1 else None
@@ -413,14 +393,7 @@ def exp_lift_transfer(
         results,
         verdicts,
         {"S": _vecset_digest(S)},
-        time.perf_counter() - t0,
     )
-
-
-def _images(rho, S_lift: VecSet):
-    from .fpgroup import hom_apply
-
-    return [hom_apply(rho, x) for x in S_lift.elements]
 
 
 def _feasible_k_max(p: int, n: int, budget: int) -> int:
@@ -442,7 +415,6 @@ def exp_poincare(p: int, n: int, k: int, trials: int, seed: int = 0) -> Experime
     codim-k subgroup; any failure fails the run.  The |E| = p^k arm is
     observational only.
     """
-    t0 = time.perf_counter()
     if not k < n:
         raise ValueError(f"need k < n, got k={k}, n={n}")
     if trials < 1:
@@ -476,7 +448,6 @@ def exp_poincare(p: int, n: int, k: int, trials: int, seed: int = 0) -> Experime
         results,
         verdicts,
         {},
-        time.perf_counter() - t0,
     )
 
 
@@ -506,7 +477,6 @@ def exp_profile_scan(
     r_max: int,
 ) -> ExperimentReport:
     """Observational sweep: deficiency level vs Cayley chromatic number."""
-    t0 = time.perf_counter()
     lo, hi = n_range
     if lo > hi or lo < 1:
         raise ValueError(f"bad n range {n_range}")
@@ -544,7 +514,6 @@ def exp_profile_scan(
         results,
         {"completed": True},
         {},
-        time.perf_counter() - t0,
     )
 
 
@@ -558,7 +527,6 @@ def exp_bog_scan(
 ) -> ExperimentReport:
     """Scan r-covers of F_p^n for the least codimension c such that some cell's
     d-fold distinct sumset contains a full codim-c subgroup (observational)."""
-    t0 = time.perf_counter()
     if d % p != 0 or d <= 2:
         raise ValueError(f"d must be > 2 and divisible by p, got d={d}, p={p}")
     if r < 1:
@@ -613,5 +581,4 @@ def exp_bog_scan(
         results,
         {"completed": True},
         {},
-        time.perf_counter() - t0,
     )

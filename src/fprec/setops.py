@@ -1,8 +1,7 @@
 """Set operators on finite subsets of F_p^n.
 
-Difference sets, the iterated difference operator over mutually distinct
-quadruples, d-fold sumsets with distinct summands, and preimage-intersection
-constructions.  All outputs are canonically sorted and duplicate-free.
+Difference sets, d-fold sumsets with distinct summands, and
+preimage-intersection constructions.  All outputs are canonically sorted and duplicate-free.
 """
 
 from __future__ import annotations
@@ -64,14 +63,6 @@ def difference_set(A: VecSet, distinct_only: bool = False) -> VecSet:
         if distinct_only and a == b:
             continue
         out.add(a - b)
-    return VecSet(A.p, A.n, tuple(out))
-
-
-def delta2(A: VecSet) -> VecSet:
-    """{(a-b) - (c-d) : a, b, c, d in A mutually distinct}."""
-    out = set()
-    for a, b, c, d in itertools.permutations(A.elements, 4):
-        out.add((a - b) - (c - d))
     return VecSet(A.p, A.n, tuple(out))
 
 

@@ -1,6 +1,11 @@
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fprec.cli import build_parser, main
 from fprec.colorings import Graph, Hypergraph
@@ -14,6 +19,8 @@ from fprec.fileio import (
     write_hypergraph,
     write_vecset,
 )
+from fprec.fpgroup import FpVec
+from fprec.setops import VecSet
 
 
 class TestFileFormats:
@@ -36,6 +43,28 @@ class TestFileFormats:
         path = tmp_path / "g.txt"
         write_graph(g, path)
         assert read_graph(path) == g
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_read_inverts_write(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        n = data.draw(st.integers(1, 5))
+        S = VecSet(p, n, tuple(FpVec(p, c) for c in data.draw(st.lists(
+            st.tuples(*[st.integers(0, p - 1)] * n), max_size=12))))
+        N = data.draw(st.integers(0, 8))
+        hg = Hypergraph.from_edge_lists(N, data.draw(st.lists(
+            st.sets(st.integers(1, N), min_size=1), max_size=8)) if N else [])
+        gn = data.draw(st.integers(0, 8))
+        g = Graph.from_edges(gn, data.draw(st.lists(
+            st.tuples(st.integers(0, gn - 1), st.integers(0, gn - 1)), max_size=12))
+            if gn else [])
+        with tempfile.TemporaryDirectory() as tmp:
+            for x, write, read in ((S, write_vecset, read_vecset),
+                                   (hg, write_hypergraph, read_hypergraph),
+                                   (g, write_graph, read_graph)):
+                path = Path(tmp) / "x.txt"
+                write(x, path)
+                assert read(path) == x
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -87,8 +116,6 @@ class TestCli:
         v = tmp_path / "v.txt"
         s = tmp_path / "s.txt"
         write_vecset(weight_d_set(2, 2, 1), v)  # just e1, e2
-        from fprec.setops import VecSet
-
         write_vecset(VecSet.full(2, 2), v)
         write_vecset(weight_d_set(2, 2, 1), s)
         assert main(["chi", "--vertices", str(v), "--conn", str(s)]) == 0
@@ -96,8 +123,6 @@ class TestCli:
         assert doc["chi"] == 2
 
     def test_cayley_then_chi_graph_mode(self, tmp_path, capsys):
-        from fprec.setops import VecSet
-
         v = tmp_path / "v.txt"
         s = tmp_path / "s.txt"
         g = tmp_path / "g.txt"
@@ -107,6 +132,13 @@ class TestCli:
         assert g.read_text().startswith("# vertices=4")
         assert main(["chi", "--graph", str(g)]) == 0
         assert json.loads(capsys.readouterr().out)["chi"] == 2
+
+    def test_chi_graph_without_vertices(self, tmp_path, capsys):
+        g = tmp_path / "g.txt"
+        g.write_text("# vertices=0\n")
+        assert main(["chi", "--graph", str(g)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["chi"] == 0 and doc["coloring"] == []
 
     def test_hypergraph_chi(self, tmp_path, capsys):
         path = tmp_path / "h.txt"
@@ -128,6 +160,12 @@ class TestCli:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_exp_wall_time_on_stderr_only(self, capsys):
+        assert main(["exp", "poincare", "--trials", "5"]) == 0
+        out, err = capsys.readouterr()
+        assert re.fullmatch(r"# wall time: \d+\.\d{3}s\n", err)
+        assert "wall" not in out and json.loads(out)["ok"] is True
 
     def test_tsv_format(self, e1_file, capsys):
         assert main(["deficiency", "--in", e1_file, "--k-max", "1", "--format", "tsv"]) == 0
@@ -216,8 +254,6 @@ def test_s_square_w5_output_digests_pinned(tmp_path):
 
 @pytest.fixture
 def verb_argvs(tmp_path):
-    from fprec.setops import VecSet
-
     e1, full, hg, graph = (str(tmp_path / f) for f in ("e1.txt", "full.txt", "h.txt", "g.txt"))
     write_vecset(weight_d_set(2, 3, 1), e1)
     write_vecset(VecSet.full(2, 3), full)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fprec.colorings import (
     Graph,
@@ -16,7 +18,6 @@ from fprec.colorings import (
     find_proper_partition,
     hypergraph_chromatic,
     hypergraph_chromatic_bruteforce,
-    partition_from_coloring,
     proper_partitions,
     verify,
 )
@@ -144,7 +145,7 @@ def test_build_cayley_matches_pair_loop(p, case):
 class TestChromaticNumber:
     def test_edgeless(self):
         chi, coloring = chromatic_number_exact(Graph.from_edges(4, []))
-        assert chi == 1 and set(coloring.values()) == {1}
+        assert chi == 1 and coloring == (1, 1, 1, 1)
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_complete_graph(self, r):
@@ -248,7 +249,7 @@ def restricted_growth_partitions(n, r):
     restricted-growth strings of itertools.product, in lexicographic order."""
     for s in itertools.product(range(1, r + 1), repeat=n):
         if all(c <= max(s[:i], default=0) + 1 for i, c in enumerate(s)):
-            yield partition_from_coloring(dict(zip(range(1, n + 1), s)))
+            yield s
 
 
 class TestProperPartitions:
@@ -272,12 +273,25 @@ class TestProperPartitions:
         hg = Hypergraph.from_edge_lists(3, [{2}, {1, 3}])
         assert list(proper_partitions(hg, 3)) == []
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_is_restricted_growth_bounded_and_proper(self, data):
+        n = data.draw(st.integers(1, 7))
+        r = data.draw(st.integers(1, n))
+        edges = data.draw(st.lists(
+            st.sets(st.integers(1, n), min_size=min(2, n), max_size=n), max_size=6))
+        hg = Hypergraph.from_edge_lists(n, edges)
+        for part in proper_partitions(hg, r):
+            assert len(part) == n and part[0] == 1
+            assert all(c <= max(part[:i]) + 1 for i, c in enumerate(part) if i)
+            assert max(part) <= r
+            assert verify(part, hg) == (True, None)
+
 
 class TestBridges:
     def test_worked_pair_example(self):
         fam = Hypergraph.from_edge_lists(2, [{1, 2}])
-        part = (frozenset({1}), frozenset({2}))
-        H = coloring_to_avoiding_subgroup(part, fam, 2)
+        H = coloring_to_avoiding_subgroup((1, 2), fam, 2)
         assert H.annihilator.entries == ((1, 0), (0, 1))
         ok, _ = verify(H, family_indicator_set(fam, 2))
         assert ok
@@ -285,7 +299,7 @@ class TestBridges:
     def test_monochromatic_edge_rejected(self):
         fam = Hypergraph.from_edge_lists(2, [{1, 2}])
         with pytest.raises(ValueError, match=r"\[1, 2\]"):
-            coloring_to_avoiding_subgroup((frozenset({1, 2}),), fam, 2)
+            coloring_to_avoiding_subgroup((1, 1), fam, 2)
 
     def test_ap3_partition_yields_avoiding_subgroup(self):
         fam = ap3_hypergraph(4)
@@ -297,21 +311,36 @@ class TestBridges:
 
     def test_characters_single_cell(self):
         part = characters_to_coloring([FpVec(2, (1, 1, 1, 1)).coords], 4)
-        assert part == (frozenset({1, 2, 3, 4}),)
+        assert part == (1, 1, 1, 1)
 
     def test_characters_parity_split(self):
         part = characters_to_coloring([FpVec(2, (1, 0, 1, 0, 1, 0)).coords], 6)
-        assert set(part) == {frozenset({1, 3, 5}), frozenset({2, 4, 6})}
+        assert part == (1, 2, 1, 2, 1, 2)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_characters_equal_labels_iff_equal_columns(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        N = data.draw(st.integers(1, 8))
+        width = data.draw(st.integers(N, N + 2))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, p - 1), min_size=width, max_size=width),
+            min_size=1, max_size=3))
+        labels = characters_to_coloring(rows, N)
+        columns = list(zip(*rows))
+        assert len(labels) == N and labels[0] == 1
+        assert all(c <= max(labels[:i]) + 1 for i, c in enumerate(labels) if i)
+        for u, v in itertools.product(range(N), repeat=2):
+            assert (labels[u] == labels[v]) == (columns[u] == columns[v])
 
     def test_characters_monochromatic_implies_membership(self):
         rng = random.Random(29)
         for _ in range(10):
             xis = [FpVec(3, tuple(rng.randrange(3) for _ in range(6))) for _ in range(2)]
             part = characters_to_coloring([xi.coords for xi in xis], 6)
-            assert len(part) <= 9
-            color = {v: i for i, cell in enumerate(part) for v in cell}
+            assert max(part) <= 9
             for F in itertools.combinations(range(1, 7), 3):
-                if len({color[v] for v in F}) == 1:
+                if len({part[v - 1] for v in F}) == 1:
                     eF = e_of(F, 3, 6)
                     from fprec.fpgroup import pairing
                     assert all(pairing(eF, xi) == 0 for xi in xis)
@@ -352,18 +381,18 @@ class TestImageLemma:
 class TestVerify:
     def test_proper_cycle_coloring(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert verify({0: 1, 1: 2, 2: 1, 3: 2}, g) == (True, None)
+        assert verify((1, 2, 1, 2), g) == (True, None)
 
     def test_constant_coloring_fails_with_edge(self):
         g = Graph.from_edges(2, [(0, 1)])
-        ok, bad = verify({0: 1, 1: 1}, g)
+        ok, bad = verify((1, 1), g)
         assert not ok and bad == (0, 1)
 
     def test_partition_against_hypergraph(self):
         hg = Hypergraph.from_edge_lists(3, [{1, 2, 3}])
-        ok, bad = verify((frozenset({1, 2, 3}),), hg)
+        ok, bad = verify((1, 1, 1), hg)
         assert not ok and bad == [1, 2, 3]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            verify({0: 1}, vs(2, 1, (1,)))
+            verify((1,), vs(2, 1, (1,)))

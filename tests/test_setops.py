@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fprec.fpgroup import FpMatrix, FpVec, hom_apply, hom_from_basis_images
 from fprec.setops import (
     VecSet,
-    delta2,
     dfold_distinct_sumset,
     dfold_distinct_sumset_bruteforce,
     difference_set,
@@ -58,42 +57,6 @@ class TestDifferenceSet:
     def test_char2_pair(self):
         D = difference_set(vs(2, 2, (0, 0), (1, 1)), distinct_only=True)
         assert [v.coords for v in D] == [(1, 1)]
-
-
-class TestDelta2:
-    def test_too_small_is_empty(self):
-        assert len(delta2(vs(3, 1, (0,), (1,), (2,)))) == 0
-
-    def test_char2_basis(self):
-        A = vs(2, 4, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        assert [v.coords for v in delta2(A)] == [(1, 1, 1, 1)]
-
-    def test_against_quadruple_oracle(self):
-        rng = random.Random(11)
-        for _ in range(10):
-            A = random_vecset(rng, 3, 2, 5)
-            expected = set()
-            for a, b, c, d in itertools.product(A.elements, repeat=4):
-                if len({a, b, c, d}) == 4:
-                    expected.add(((a - b) - (c - d)).coords)
-            assert delta2(A).coord_tuples() == expected
-
-    def test_contained_in_double_difference(self):
-        rng = random.Random(3)
-        for _ in range(10):
-            A = random_vecset(rng, 2, 3, rng.randrange(4, 7))
-            DD = difference_set(difference_set(A))
-            assert delta2(A).coord_tuples() <= DD.coord_tuples()
-
-    def test_char2_unsigned_form(self):
-        rng = random.Random(9)
-        for _ in range(10):
-            A = random_vecset(rng, 2, 3, 5)
-            unsigned = {
-                (a + b + c + d).coords
-                for a, b, c, d in itertools.combinations(A.elements, 4)
-            }
-            assert delta2(A).coord_tuples() == unsigned
 
 
 class TestDfoldSumset:
