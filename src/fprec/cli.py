@@ -45,8 +45,6 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
-    elif isinstance(value, (list, tuple)):
-        rows.append((prefix, json.dumps(value)))
     else:
         rows.append((prefix, json.dumps(value)))
 

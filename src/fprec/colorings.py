@@ -108,66 +108,61 @@ def _greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
-def _dsatur(g: Graph) -> Coloring:
-    """DSATUR heuristic coloring; ties break by degree, then lowest index."""
-    colors = [0] * g.n
-    sat: list[set[int]] = [set() for _ in range(g.n)]
-    uncolored = set(range(g.n))
-    while uncolored:
-        v = min(uncolored, key=lambda u: (-len(sat[u]), -len(g.adj[u]), u))
-        used = sat[v]
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-        uncolored.discard(v)
-        for u in g.adj[v]:
-            sat[u].add(c)
-    return tuple(colors)
+def _dsatur_colorings(g: Graph, cap: int) -> Iterator[Coloring]:
+    """DSATUR branch and bound (Brelaz 1979): yield proper colorings of g with
+    at most cap colors, each with fewer colors than the one before.
 
-
-def _find_coloring(g: Graph, r: int) -> Coloring | None:
-    """Deterministic backtracking search for a proper r-coloring.
-
-    Branches on the most saturated uncolored vertex; new colors are introduced
-    in ascending order, so the search is run-to-run deterministic.
+    The search branches on the most saturated uncolored vertex, ties broken by
+    higher degree, then lower index, and tries colors in ascending order, a
+    vertex opening at most one new color.  The first leaf is the DSATUR
+    heuristic's coloring.  After a leaf with k colors the cap drops to k - 1
+    and the search backs up past the vertex that opened color k, so each later
+    leaf is the first leaf of the search with that cap from the root.
     """
-    colors: dict[int, int] = {}
-    sat: list[set[int]] = [set() for _ in range(g.n)]
-
-    def pick() -> int:
-        best = -1
-        key = None
-        for v in range(g.n):
-            if v in colors:
-                continue
-            k = (len(sat[v]), len(g.adj[v]), -v)
-            if key is None or k > key:
-                key = k
-                best = v
-        return best
-
-    def rec(max_used: int) -> bool:
-        if len(colors) == g.n:
-            return True
-        v = pick()
-        if len(sat[v]) >= r:
-            return False
-        for c in range(1, min(max_used + 1, r) + 1):
-            if c in sat[v]:
-                continue
-            colors[v] = c
-            touched = [u for u in g.adj[v] if c not in sat[u]]
+    n = g.n
+    rank = [0] * n
+    for i, v in enumerate(sorted(range(n), key=lambda v: (len(g.adj[v]), -v))):
+        rank[v] = i
+    # key[v] = |sat[v]| * n + rank[v] for an uncolored vertex, -1 once colored:
+    # the uncolored vertex to branch on is the one with the largest key.
+    key = rank[:]
+    sat: list[set[int]] = [set() for _ in range(n)]
+    colors = [0] * n
+    # One frame per colored vertex: the vertex, the number of colors in use
+    # before it, and its neighbors whose saturation its color raised.
+    stack: list[tuple[int, int, list[int]]] = []
+    v, used = key.index(max(key)), 0
+    while True:
+        c = colors[v] + 1
+        top = min(used + 1, cap)
+        while c <= top and c in sat[v]:
+            c += 1
+        if c <= top:
+            colors[v], key[v] = c, -1
+            touched = [u for u in g.adj[v] if key[u] >= 0 and c not in sat[u]]
             for u in touched:
                 sat[u].add(c)
-            if rec(max(max_used, c)):
-                return True
+                key[u] += n
+            stack.append((v, used, touched))
+            used = max(used, c)
+            m = max(key)
+            if m >= 0:
+                v = key.index(m)
+                colors[v] = 0
+                continue
+            yield tuple(colors)
+            cap = used - 1
+        # Back up to the deepest vertex whose predecessors use at most cap colors.
+        while True:
+            if not stack:
+                return
+            v, used, touched = stack.pop()
             for u in touched:
-                sat[u].discard(c)
-            del colors[v]
-        return False
-
-    return tuple(colors[v] for v in range(g.n)) if rec(0) else None
+                sat[u].discard(colors[v])
+                key[u] -= n
+            key[v] = len(sat[v]) * n + rank[v]
+            if used <= cap:
+                break
 
 
 def chromatic_number_exact(
@@ -177,7 +172,8 @@ def chromatic_number_exact(
 
     Returns (INFINITE, None) when the graph has a self-loop.  With max_colors
     set, returns (max_colors + 1, None) as a ">max_colors" marker if no
-    coloring within the cap exists.
+    coloring within the cap exists.  The search stops early once a coloring
+    matches the size of a greedy clique.
     """
     graph = _as_graph(g)
     if graph.has_self_loop:
@@ -185,22 +181,15 @@ def chromatic_number_exact(
     if graph.n == 0:
         return 0, ()
     lb = max(1, len(_greedy_clique(graph)))
-    heur = _dsatur(graph)
-    ub = max(heur)
-    best, witness = ub, heur
     if max_colors is not None and lb > max_colors:
         return max_colors + 1, None
-    while best > lb:
-        target = best - 1
-        if max_colors is not None and target > max_colors:
-            target = max_colors
-        attempt = _find_coloring(graph, target)
-        if attempt is None:
+    best = None
+    for best in _dsatur_colorings(graph, graph.n if max_colors is None else max_colors):
+        if max(best) <= lb:
             break
-        best, witness = max(attempt), attempt
-    if max_colors is not None and best > max_colors:
+    if best is None:
         return max_colors + 1, None
-    return best, witness
+    return max(best), best
 
 
 def chromatic_number_bruteforce(g: Graph | CayleyGraph) -> int | float:
@@ -294,27 +283,34 @@ def _monochromatic_edge(hg: Hypergraph, coloring: Coloring) -> frozenset[int] | 
 
 def proper_partitions(hg: Hypergraph, r: int) -> Iterator[Coloring]:
     """Every partition of [1, N] into at most r cells with no monochromatic
-    edge, in restricted-growth order: backtracking over vertex colors with
-    new-color symmetry breaking, each edge checked once its last vertex has
-    a color."""
+    edge, in restricted-growth order: backtracking on an explicit stack over
+    vertex colors with new-color symmetry breaking, each edge checked once its
+    last vertex has a color."""
     if any(len(e) == 1 for e in hg.edges):
         return
     by_last: dict[int, list[list[int]]] = {}
     for e in hg.edges:
         *rest, last = sorted(v - 1 for v in e)
         by_last.setdefault(last, []).append(rest)
-    colors = [0] * hg.n
-
-    def rec(v: int, used: int) -> Iterator[Coloring]:
+    colors: list[int] = []
+    used = [0]  # used[v]: the largest color among colors[:v]
+    c = 1  # the next color to try at vertex len(colors)
+    while True:
+        v = len(colors)
+        if v < hg.n and c <= min(used[v] + 1, r):
+            if all(any(colors[u] != c for u in rest) for rest in by_last.get(v, ())):
+                colors.append(c)
+                used.append(max(used[v], c))
+                c = 1
+            else:
+                c += 1
+            continue
         if v == hg.n:
             yield tuple(colors)
+        if not colors:
             return
-        for c in range(1, min(used + 1, r) + 1):
-            if all(any(colors[u] != c for u in rest) for rest in by_last.get(v, ())):
-                colors[v] = c
-                yield from rec(v + 1, max(used, c))
-
-    yield from rec(0, 0)
+        used.pop()
+        c = colors.pop() + 1
 
 
 def find_proper_partition(hg: Hypergraph, r: int) -> Coloring | None:

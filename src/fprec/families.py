@@ -58,9 +58,6 @@ class FinSet:
             raise ValueError("window size mismatch")
         return FinSet(self.W, self.points ^ other.points)
 
-    def sorted_points(self) -> list[tuple[int, int]]:
-        return sorted(self.points)
-
 
 def weight_d_set(p: int, n: int, d: int) -> VecSet:
     """All 0/1 vectors of weight d in F_p^n: the indicator vectors e_F, |F| = d."""

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fprec.cli import build_parser, main
-from fprec.colorings import Graph, Hypergraph
+from fprec.colorings import (
+    INFINITE,
+    Graph,
+    Hypergraph,
+    chromatic_number_bruteforce,
+    hypergraph_chromatic_bruteforce,
+)
 from fprec.families import ap3_hypergraph, fin2_vertices, square_connection_set, weight_d_set
 from fprec.fileio import (
     read_graph,
@@ -95,6 +101,71 @@ def test_malformed_file_exit_2_names_line(case, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"in.txt: line {line}:" in err
+
+
+NON_INTEGERS = ("x", "1.5", "1e3", "0x1")
+
+
+@st.composite
+def graph_or_hypergraph_file(draw, verb):
+    """The text of a graph file (verb "chi") or a hypergraph file (verb
+    "hypergraph-chi") on at most 8 vertices, and the chi its report must
+    give by brute force, or None when one line is bad: a wrong count (for a
+    hypergraph, a one-vertex edge), a non-integer or an out-of-range value."""
+    n = draw(st.integers(0, 8))
+    lo, hi = (0, n - 1) if verb == "chi" else (1, n)
+    vertex = st.integers(lo, hi)
+    fault = draw(st.sampled_from([None, "count", "non-integer", "out-of-range"]))
+    if verb == "chi":
+        rows = draw(st.lists(st.lists(vertex, min_size=2, max_size=2), max_size=12)) if n else []
+        chi = None if fault else chromatic_number_bruteforce(Graph.from_edges(n, rows))
+        expected = "inf" if chi == INFINITE else chi
+    else:
+        rows = [sorted(e) for e in draw(st.lists(st.sets(vertex, min_size=2), max_size=6))
+                ] if n >= 2 else []
+        hg = Hypergraph.from_edge_lists(n, rows)
+        expected = None if fault else hypergraph_chromatic_bruteforce(hg)
+    if fault == "count":
+        bad = [lo] * (1 if verb == "hypergraph-chi" else draw(st.sampled_from([1, 3])))
+    elif fault == "non-integer":
+        bad = [lo, draw(st.sampled_from(NON_INTEGERS))]
+    elif fault == "out-of-range":
+        bad = [lo, draw(st.one_of(st.integers(max_value=lo - 1), st.integers(min_value=hi + 1)))]
+    if fault:
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    header = f"# vertices={n}" if verb == "chi" else f"# N={n}"
+    return "\n".join([header] + [" ".join(map(str, row)) for row in rows]) + "\n", expected
+
+
+@pytest.mark.parametrize("verb,flag", [("chi", "--graph"), ("hypergraph-chi", "--in")])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_exit_code_contract(verb, flag, data):
+    text, expected = data.draw(graph_or_hypergraph_file(verb))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "in.txt", Path(tmp) / "out.json"
+        path.write_text(text)
+        code = main([verb, flag, str(path), "--out", str(out)])
+        assert code == (2 if expected is None else 0)
+        if code == 0:
+            assert json.loads(out.read_text())["chi"] == expected
+
+
+def test_chi_graph_deep_search(tmp_path, capsys):
+    # A 1,200-vertex path and a disjoint 5-cycle: the search is 1,205 vertices deep.
+    edges = [(i, i + 1) for i in range(1199)] + [(1200 + i, 1200 + (i + 1) % 5) for i in range(5)]
+    path = tmp_path / "g.txt"
+    write_graph(Graph.from_edges(1205, edges), path)
+    assert main(["chi", "--graph", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["chi"] == 3 and doc["coloring_valid"] is True
+
+
+def test_hypergraph_chi_long_path(tmp_path, capsys):
+    path = tmp_path / "h.txt"
+    write_hypergraph(Hypergraph.from_edge_lists(1500, [(i, i + 1) for i in range(1, 1500)]), path)
+    assert main(["hypergraph-chi", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["chi"] == 2
 
 
 @pytest.fixture

@@ -21,12 +21,14 @@ from fprec.colorings import (
     proper_partitions,
     verify,
 )
+from fprec.colorings import _greedy_clique
 from fprec.families import (
     ap3_hypergraph,
     e_of,
     family_indicator_set,
     fin2_vertices,
     square_connection_set,
+    weight_d_set,
 )
 from fprec.fpgroup import FpVec, all_vectors, hom_apply, hom_from_basis_images, rref_rank
 from fprec.setops import VecSet
@@ -184,6 +186,116 @@ class TestChromaticNumber:
     def test_max_colors_marker(self):
         g = Graph.from_edges(4, itertools.combinations(range(4), 2))
         assert chromatic_number_exact(g, max_colors=2) == (3, None)
+
+
+def _dsatur_reference(g):
+    """DSATUR heuristic coloring; ties break by degree, then lowest index."""
+    colors = [0] * g.n
+    sat = [set() for _ in range(g.n)]
+    uncolored = set(range(g.n))
+    while uncolored:
+        v = min(uncolored, key=lambda u: (-len(sat[u]), -len(g.adj[u]), u))
+        used = sat[v]
+        c = 1
+        while c in used:
+            c += 1
+        colors[v] = c
+        uncolored.discard(v)
+        for u in g.adj[v]:
+            sat[u].add(c)
+    return tuple(colors)
+
+
+def _find_coloring_reference(g, r):
+    """Recursive backtracking for a proper r-coloring, branching on the most
+    saturated uncolored vertex and trying colors in ascending order."""
+    colors = {}
+    sat = [set() for _ in range(g.n)]
+
+    def pick():
+        best, key = -1, None
+        for v in range(g.n):
+            if v in colors:
+                continue
+            k = (len(sat[v]), len(g.adj[v]), -v)
+            if key is None or k > key:
+                key, best = k, v
+        return best
+
+    def rec(max_used):
+        if len(colors) == g.n:
+            return True
+        v = pick()
+        if len(sat[v]) >= r:
+            return False
+        for c in range(1, min(max_used + 1, r) + 1):
+            if c in sat[v]:
+                continue
+            colors[v] = c
+            touched = [u for u in g.adj[v] if c not in sat[u]]
+            for u in touched:
+                sat[u].add(c)
+            if rec(max(max_used, c)):
+                return True
+            for u in touched:
+                sat[u].discard(c)
+            del colors[v]
+        return False
+
+    return tuple(colors[v] for v in range(g.n)) if rec(0) else None
+
+
+def chromatic_reference(g, max_colors=None):
+    """Reference for chromatic_number_exact: the DSATUR heuristic, then a
+    backtracking search restarted from the root for each smaller color count
+    until it fails or meets the greedy clique."""
+    if g.has_self_loop:
+        return INFINITE, None
+    if g.n == 0:
+        return 0, ()
+    lb = max(1, len(_greedy_clique(g)))
+    best_coloring = _dsatur_reference(g)
+    best = max(best_coloring)
+    if max_colors is not None and lb > max_colors:
+        return max_colors + 1, None
+    while best > lb:
+        target = best - 1 if max_colors is None else min(best - 1, max_colors)
+        attempt = _find_coloring_reference(g, target)
+        if attempt is None:
+            break
+        best, best_coloring = max(attempt), attempt
+    if max_colors is not None and best > max_colors:
+        return max_colors + 1, None
+    return best, best_coloring
+
+
+class TestChromaticMatchesReference:
+    def test_random_graphs(self):
+        rng = random.Random(53)
+        for _ in range(1000):
+            g = random_graph(rng, rng.randrange(0, 15), density=rng.random())
+            for max_colors in (None, 1, 2, 3, 4):
+                assert chromatic_number_exact(g, max_colors) == chromatic_reference(g, max_colors)
+
+    # The (p, n, d) weight-d bases of the benchmark's cayley workload.
+    @pytest.mark.parametrize("p,n,d", [
+        (2, 5, 1), (2, 6, 1), (2, 7, 1), (2, 5, 3), (2, 6, 3), (2, 7, 3),
+        (3, 3, 1), (3, 3, 2), (3, 4, 1), (3, 4, 2), (3, 4, 3),
+    ])
+    def test_weight_d_cayley(self, p, n, d):
+        g = build_cayley(VecSet.full(p, n), weight_d_set(p, n, d)).graph
+        assert chromatic_number_exact(g) == chromatic_reference(g)
+
+    @pytest.mark.parametrize("W", [2, 3, 4, 5, 6])
+    def test_s_square(self, W):
+        g = build_cayley(fin2_vertices(W), square_connection_set(W)).graph
+        assert chromatic_number_exact(g) == chromatic_reference(g)
+
+    def test_weight2_needs_eight_colors(self):
+        g = build_cayley(VecSet.full(2, 6), weight_d_set(2, 6, 2)).graph
+        chi, coloring = chromatic_number_exact(g)
+        assert (chi, coloring) == chromatic_reference(g)
+        assert chi == 8 and verify(coloring, g)[0]
 
 
 class TestComponents:
