@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .fpgroup import DualVec, FpVec, Subgroup
+from .fpgroup import DualVec, FpVec, Subgroup, encode, swar_constants
 from .setops import VecSet
 
 INFINITE = float("inf")
@@ -68,7 +68,7 @@ class CayleyGraph:
 def build_cayley(V: VecSet, S: VecSet) -> CayleyGraph:
     """Build Cay(V, S) with deterministic (sorted) vertex order.
 
-    Vectors are packed into integer codes, one byte per coordinate, and each
+    Vectors are packed into integer codes (fpgroup.encode), and each
     vertex x is probed at x + s for every s in S and -S, so the cost is
     |V| * |S u -S| dict lookups.
     """
@@ -76,15 +76,13 @@ def build_cayley(V: VecSet, S: VecSet) -> CayleyGraph:
         raise ValueError("vertex set and connection set live in different groups")
     verts = V.elements
     p = V.p
-    index = {int.from_bytes(bytes(v.coords), "big"): i for i, v in enumerate(verts)}
-    shifts = {int.from_bytes(bytes(c), "big") for s in S for c in (s.coords, (-s).coords)}
+    index = {encode(v.coords): i for i, v in enumerate(verts)}
+    shifts = {encode(c) for s in S for c in (s.coords, (-s).coords)}
     edges: list[tuple[int, int]] = []
     if 0 in shifts:
         edges.extend((i, i) for i in range(len(verts)))
         shifts.discard(0)
-    # Bytes of x+s are in [0, 2p-2]: +(128-p) sets 0x80 iff byte >= p, no carry while p < 130.
-    K = int.from_bytes(bytes([128 - p]) * V.n, "big")
-    H = int.from_bytes(b"\x80" * V.n, "big")
+    K, H, _ = swar_constants(p, V.n)
     for x, i in index.items():
         for s in shifts:
             t = x + s

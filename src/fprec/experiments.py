@@ -40,14 +40,16 @@ from .families import (
 from .fileio import digest_of_text
 from .fpgroup import (
     ResourceGuardError,
+    all_codes,
     all_vectors,
     annihilator_array,
+    decode_array,
     gaussian_binomial,
     hom_apply,
     hom_from_basis_images,
     scan_avoiding,
 )
-from .setops import VecSet, dfold_distinct_sumset, difference_set, preimage_intersect
+from .setops import VecSet, difference_codes, preimage_intersect, sumset_codes
 
 SCHEMA_VERSION = 1
 
@@ -420,17 +422,16 @@ def exp_poincare(p: int, n: int, k: int, trials: int, seed: int = 0) -> Experime
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _guard(p**n <= 2**14, f"p^n = {p}^{n} exceeds the sampling bound 2^14")
-    universe = list(all_vectors(p, n))
+    universe = all_codes(p, n)
     A = annihilator_array(p, n, k)
     rng = random.Random(seed)
 
     def run_arm(size: int) -> int:
         failures = 0
         for _ in range(trials):
-            E = VecSet(p, n, tuple(rng.sample(universe, size)))
-            D = difference_set(E, distinct_only=True)
-            points = [x.coords for x in D.elements]
-            failures += next(scan_avoiding(A, points, p), None) is not None
+            D = difference_codes(rng.sample(universe, size), p, n)
+            D.discard(0)  # distinct differences only
+            failures += next(scan_avoiding(A, decode_array(D, n), p), None) is not None
         return failures
 
     failures = run_arm(p**k + 1)
@@ -532,17 +533,17 @@ def exp_bog_scan(
     if r < 1:
         raise ValueError("r must be >= 1")
     _guard(p**n <= 2**12, f"p^n = {p}^{n} exceeds the scan bound 2^12")
-    universe = list(all_vectors(p, n))
+    universe = all_codes(p, n)
+    U = decode_array(universe, n)
     size = len(universe)
     c_max = _feasible_k_max(p, n, budget=20_000)
     levels = [annihilator_array(p, n, c) for c in range(0, c_max + 1)]
-    zero = (0,) * n
 
-    def least_codim(cells: list[VecSet]) -> int | None:
+    def least_codim(cells: list[list[int]]) -> int | None:
         # A subgroup lies inside a sumset exactly when it misses the sumset's
         # complement in F_p^n; a sumset without 0 holds no subgroup.
-        sums = [dfold_distinct_sumset(A, d).coord_tuples() for A in cells if len(A)]
-        outside = [[v.coords for v in universe if v.coords not in T] for T in sums if zero in T]
+        sums = [sumset_codes(cell, p, n, d) for cell in cells if cell]
+        outside = [U[[c not in T for c in universe]] for T in sums if 0 in T]
         for c, A in enumerate(levels):
             if any(next(scan_avoiding(A, X, p), None) is not None for X in outside):
                 return c
@@ -559,12 +560,8 @@ def exp_bog_scan(
         mode = "random"
     records = []
     for assignment in assignments:
-        cells = [
-            VecSet(p, n, tuple(v for v, a in zip(universe, assignment) if a == j))
-            for j in range(r)
-        ]
-        c = least_codim(cells)
-        records.append(c)
+        cells = [[v for v, a in zip(universe, assignment) if a == j] for j in range(r)]
+        records.append(least_codim(cells))
     histogram: dict[str, int] = {}
     for c in records:
         key = "none" if c is None else str(c)

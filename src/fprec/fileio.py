@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Callable
 
 from .colorings import Graph, Hypergraph
-from .fpgroup import FpVec
+from .fpgroup import MAX_VERTICES, FpVec, ResourceGuardError, check_prime
 from .setops import VecSet
 
 
@@ -17,13 +17,15 @@ def _read_rows(
     names: tuple[str, ...],
     width: Callable[..., int] | None = None,
     bounds: Callable[..., tuple[int, int]] | None = None,
+    vertex_count: str | None = None,
 ) -> tuple[list[int], list[list[int]]]:
     """Parse a '# name=<int> ...' header line and the integer rows after it.
 
     Returns the header values and the rows, blank lines skipped.  width, given
     the header values, returns the required row length; bounds returns the
-    inclusive range every value must lie in.  Errors name the file and the
-    1-based line.
+    inclusive range every value must lie in.  The header value named by
+    vertex_count must not exceed MAX_VERTICES, else ResourceGuardError.
+    Errors name the file and the 1-based line.
     """
     lines = Path(path).read_text().splitlines()
     header = re.compile(r"#\s*" + r"\s+".join(rf"{k}=(\d+)" for k in names) + r"\s*$")
@@ -32,6 +34,10 @@ def _read_rows(
         usage = " ".join(f"{k}=<{k}>" for k in names)
         raise ValueError(f"{path}: line 1: missing '# {usage}' header")
     values = [int(g) for g in m.groups()]
+    if vertex_count and (count := values[names.index(vertex_count)]) > MAX_VERTICES:
+        raise ResourceGuardError(
+            f"{path}: line 1: {vertex_count}={count} exceeds the vertex bound MAX_VERTICES = 2^16"
+        )
     expected = width(*values) if width else None
     lo, hi = bounds(*values) if bounds else (None, None)
     rows = []
@@ -62,6 +68,10 @@ def read_vecset(path: str | Path) -> VecSet:
     (p, n), rows = _read_rows(
         path, ("p", "n"), width=lambda p, n: n, bounds=lambda p, n: (0, p - 1)
     )
+    try:
+        check_prime(p)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line 1: {exc}") from None
     return VecSet(p, n, tuple(FpVec(p, tuple(row)) for row in rows))
 
 
@@ -72,7 +82,7 @@ def write_hypergraph(hg: Hypergraph, path: str | Path) -> None:
 
 
 def read_hypergraph(path: str | Path) -> Hypergraph:
-    (n,), edges = _read_rows(path, ("N",), bounds=lambda n: (1, n))
+    (n,), edges = _read_rows(path, ("N",), bounds=lambda n: (1, n), vertex_count="N")
     return Hypergraph.from_edge_lists(n, edges)
 
 
@@ -83,7 +93,9 @@ def write_graph(g: Graph, path: str | Path) -> None:
 
 
 def read_graph(path: str | Path) -> Graph:
-    (n,), edges = _read_rows(path, ("vertices",), width=lambda n: 2, bounds=lambda n: (0, n - 1))
+    (n,), edges = _read_rows(
+        path, ("vertices",), width=lambda n: 2, bounds=lambda n: (0, n - 1), vertex_count="vertices"
+    )
     return Graph.from_edges(n, edges)
 
 

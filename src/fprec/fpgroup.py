@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ MAX_GROUP_ORDER = 2**24
 # Largest codimension level annihilator_array builds; the 2^22 - 1
 # annihilators of codimension 1 in F_2^22 peak near 330 MB while sorted.
 MAX_SUBGROUPS = 2**22
+# Largest vertex count a graph or hypergraph file may declare; the chromatic
+# search is quadratic in |V|, and the header is checked before any allocation.
+MAX_VERTICES = 2**16
 
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
 
@@ -254,6 +257,50 @@ def all_vectors(p: int, n: int) -> Iterator[FpVec]:
     check_order(p, n)
     for coords in itertools.product(range(p), repeat=n):
         yield FpVec(p, coords)
+
+
+# Packed codes: a vector of F_p^n as one int, one byte per coordinate,
+# big-endian, so that codes sort in the lex order of coordinate tuples.
+# check_prime keeps p <= 31, so every byte sum below stays under 256.
+
+
+def encode(coords: Sequence[int]) -> int:
+    """The packed code of a tuple of residues in [0, p - 1]."""
+    return int.from_bytes(bytes(coords), "big")
+
+
+def decode(code: int, n: int) -> tuple[int, ...]:
+    """The coordinate tuple of a packed code of F_p^n."""
+    return tuple(code.to_bytes(n, "big"))
+
+
+def decode_array(codes: Collection[int], n: int) -> np.ndarray:
+    """The coordinates of packed codes of F_p^n, one uint8 row each."""
+    data = b"".join(c.to_bytes(n, "big") for c in codes)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(codes), n)
+
+
+def all_codes(p: int, n: int) -> list[int]:
+    """The packed codes of all elements of F_p^n, ascending (lex order)."""
+    check_order(p, n)
+    return [encode(c) for c in itertools.product(range(p), repeat=n)]
+
+
+@lru_cache(maxsize=None)
+def swar_constants(p: int, n: int) -> tuple[int, int, int]:
+    """K, H and P for mod-p arithmetic on every byte of an n-byte code at once.
+
+    P repeats p in each byte.  For t whose bytes lie in [0, 2p - 1],
+    t - (((t + K) & H) >> 7) * p reduces every byte mod p: adding K = 128 - p
+    per byte sets a byte's 0x80 bit exactly when it is >= p, without a carry.
+    So a + b and a + P - b, for codes a and b, reduce to their sum and
+    difference in F_p^n.
+    """
+    return (
+        int.from_bytes(bytes([128 - p]) * n, "big"),
+        int.from_bytes(b"\x80" * n, "big"),
+        int.from_bytes(bytes([p]) * n, "big"),
+    )
 
 
 def _is_full_rank_rref(M: FpMatrix) -> bool:

@@ -2,6 +2,8 @@
 
 Difference sets, d-fold sumsets with distinct summands, and
 preimage-intersection constructions.  All outputs are canonically sorted and duplicate-free.
+The difference and sumset kernels work on sets of packed integer codes
+(fpgroup.encode); difference_set and dfold_distinct_sumset wrap them for VecSet.
 """
 
 from __future__ import annotations
@@ -9,9 +11,17 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Collection, Iterable, Iterator
 
-from .fpgroup import FpMatrix, FpVec, all_vectors, hom_apply
+from .fpgroup import (
+    FpMatrix,
+    FpVec,
+    all_vectors,
+    decode,
+    encode,
+    hom_apply,
+    swar_constants,
+)
 
 
 @dataclass(frozen=True)
@@ -56,37 +66,56 @@ class VecSet:
         return {v.coords for v in self.elements}
 
 
-def difference_set(A: VecSet, distinct_only: bool = False) -> VecSet:
-    """{a - a' : a, a' in A}; with distinct_only, only pairs a != a'."""
-    out = set()
-    for a, b in itertools.product(A.elements, repeat=2):
-        if distinct_only and a == b:
-            continue
-        out.add(a - b)
-    return VecSet(A.p, A.n, tuple(out))
+def difference_codes(codes: Collection[int], p: int, n: int) -> set[int]:
+    """{a - b : a, b in codes} on packed codes of F_p^n (fpgroup.encode).
+
+    Every byte of a + P - b lies in [1, 2p - 1], so there is no borrow
+    between bytes and one SWAR step reduces the difference mod p.
+    """
+    K, H, P = swar_constants(p, n)
+    return {
+        (t := a + P - b) - (((t + K) & H) >> 7) * p for a in codes for b in codes
+    }
 
 
-def dfold_distinct_sumset(A: VecSet, d: int) -> VecSet:
-    """Sums of d mutually distinct elements of A.
+def sumset_codes(codes: Iterable[int], p: int, n: int, d: int) -> set[int]:
+    """Sums of d mutually distinct elements of a set of packed codes of F_p^n.
 
-    Computed by a layered dynamic program over achievable sums, so it stays
-    feasible when C(|A|, d) is large; dfold_distinct_sumset_bruteforce is the
-    reference implementation and the two must agree exactly.
+    A layered dynamic program over achievable sums, so it stays feasible when
+    C(|codes|, d) is large.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    # layer[j] = sums of j distinct elements among the prefix processed so far
-    layers: list[set[tuple[int, ...]]] = [set() for _ in range(d + 1)]
-    layers[0].add((0,) * A.n)
-    p = A.p
-    for a in A.elements:
-        ac = a.coords
+    K, H, _ = swar_constants(p, n)
+    # layers[j] = sums of j distinct elements among the prefix processed so far
+    layers: list[set[int]] = [{0}] + [set() for _ in range(d)]
+    for a in codes:
         for j in range(d, 0, -1):
-            if not layers[j - 1]:
-                continue
-            step = {tuple((x + y) % p for x, y in zip(s, ac)) for s in layers[j - 1]}
-            layers[j] |= step
-    return VecSet(A.p, A.n, tuple(FpVec(p, s) for s in layers[d]))
+            layers[j].update({(t := s + a) - (((t + K) & H) >> 7) * p for s in layers[j - 1]})
+    return layers[d]
+
+
+def _codes(A: VecSet) -> list[int]:
+    return [encode(v.coords) for v in A.elements]
+
+
+def _from_codes(p: int, n: int, codes: Iterable[int]) -> VecSet:
+    return VecSet(p, n, tuple(FpVec(p, decode(c, n)) for c in codes))
+
+
+def difference_set(A: VecSet, distinct_only: bool = False) -> VecSet:
+    """{a - a' : a, a' in A}; with distinct_only, only pairs a != a'."""
+    D = difference_codes(_codes(A), A.p, A.n)
+    if distinct_only:
+        D.discard(0)  # a - a' = 0 exactly when a = a'
+    return _from_codes(A.p, A.n, D)
+
+
+def dfold_distinct_sumset(A: VecSet, d: int) -> VecSet:
+    """Sums of d mutually distinct elements of A, by sumset_codes;
+    dfold_distinct_sumset_bruteforce is the reference implementation and the
+    two must agree exactly."""
+    return _from_codes(A.p, A.n, sumset_codes(_codes(A), A.p, A.n, d))
 
 
 def dfold_distinct_sumset_bruteforce(A: VecSet, d: int) -> VecSet:

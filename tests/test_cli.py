@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fprec.cli import build_parser, main
+from fprec.bohr import meets_all_subgroups_oracle
 from fprec.colorings import (
     INFINITE,
     Graph,
@@ -25,7 +26,7 @@ from fprec.fileio import (
     write_hypergraph,
     write_vecset,
 )
-from fprec.fpgroup import FpVec
+from fprec.fpgroup import FpVec, ResourceGuardError
 from fprec.setops import VecSet
 
 
@@ -89,6 +90,7 @@ MALFORMED = {
     "graph-vertex-out-of-range": ("chi", "--graph", "# vertices=3\n0 1\n1 5\n", 3),
     "hypergraph-vertex-out-of-range": ("hypergraph-chi", "--in", "# N=4\n1 2\n3 9\n", 3),
     "vecset-coordinate-out-of-range": ("deficiency", "--in", "# p=2 n=3\n3 -1 2\n", 2),
+    "vecset-non-prime-p": ("chi", "--vertices", "# p=4 n=2\n", 1),
 }
 
 
@@ -98,6 +100,8 @@ def test_malformed_file_exit_2_names_line(case, tmp_path, capsys):
     path = tmp_path / "in.txt"
     path.write_text(text)
     argv = [verb, flag, str(path)] + (["--k-max", "1"] if verb == "deficiency" else [])
+    if flag == "--vertices":
+        argv += ["--conn", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"in.txt: line {line}:" in err
@@ -149,6 +153,111 @@ def test_exit_code_contract(verb, flag, data):
         assert code == (2 if expected is None else 0)
         if code == 0:
             assert json.loads(out.read_text())["chi"] == expected
+
+
+@pytest.mark.parametrize("verb,flag,header", [
+    ("chi", "--graph", "# vertices=100000000"),
+    ("hypergraph-chi", "--in", "# N=100000000"),
+    ("bridge", "--in", "# N=65537"),
+])
+def test_vertex_count_header_guard_exit_3(verb, flag, header, tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    path.write_text(header + "\n")
+    argv = [verb, flag, str(path)] + (["--p", "2"] if verb == "bridge" else [])
+    assert main(argv) == 3
+    assert "exceeds the vertex bound MAX_VERTICES = 2^16" in capsys.readouterr().err
+
+
+def test_vertex_count_bound_is_inclusive(tmp_path):
+    for text, n in (("# vertices=65536\n0 65535\n", 2**16), ("# vertices=65537\n", None)):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        if n is None:
+            with pytest.raises(ResourceGuardError):
+                read_graph(path)
+        else:
+            assert read_graph(path).n == n
+
+
+@st.composite
+def vecset_text(draw, p, n, fault=None, max_rows=6):
+    """The text of a vector-set file over F_p^n with at most max_rows rows,
+    and the set it holds; with a fault, one line is bad instead: a row of the
+    wrong width, a non-integer, a coordinate out of [0, p - 1], or a header
+    whose p is not a prime."""
+    coord = st.integers(0, p - 1)
+    rows = draw(st.lists(st.lists(coord, min_size=n, max_size=n), max_size=max_rows))
+    S = VecSet(p, n, tuple(FpVec(p, tuple(r)) for r in rows))
+    header_p = draw(st.sampled_from([0, 1, 4, 6, 9, 15, 33])) if fault == "non-prime" else p
+    if fault in ("width", "non-integer", "out-of-range"):
+        bad = draw(st.lists(coord, min_size=n, max_size=n))
+        i = draw(st.integers(0, n - 1))
+        if fault == "width":
+            bad = bad + [0] if n == 1 or draw(st.booleans()) else bad[1:]
+        elif fault == "non-integer":
+            bad[i] = draw(st.sampled_from(NON_INTEGERS))
+        else:
+            bad[i] = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=p)))
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    text = "\n".join([f"# p={header_p} n={n}"] + [" ".join(map(str, r)) for r in rows]) + "\n"
+    return text, S
+
+
+VECSET_FAULTS = [None, "width", "non-integer", "out-of-range", "non-prime"]
+
+
+def cayley_reference(V, S):
+    """Cay(V, S) by testing every pair of vertices with FpVec subtraction."""
+    conn = set(S) | {-s for s in S}
+    verts = V.elements
+    return Graph.from_edges(len(verts), [
+        (i, j) for i in range(len(verts)) for j in range(i, len(verts))
+        if verts[j] - verts[i] in conn])
+
+
+@pytest.mark.parametrize("verb", ["deficiency", "chi", "cayley"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_vecset_exit_code_contract(verb, data):
+    """A bad line in any input file exits 2; valid files exit 0 with the
+    verdict of an oracle that shares no code with the verb's kernel."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 3))
+    faults = [data.draw(st.sampled_from(VECSET_FAULTS))]
+    if verb != "deficiency":
+        faults.append(None)
+        faults = data.draw(st.permutations(faults))
+    files = [data.draw(vecset_text(p, n, f, max_rows=6 if verb == "deficiency" else 4))
+             for f in faults]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"in{i}.txt" for i in range(len(files))]
+        out = Path(tmp) / "out.txt"
+        for path, (text, _) in zip(paths, files):
+            path.write_text(text)
+        if verb == "deficiency":
+            k_max = data.draw(st.integers(1, n))
+            argv = ["deficiency", "--in", str(paths[0]), "--k-max", str(k_max), "--out", str(out)]
+        else:
+            argv = [verb, "--vertices", str(paths[0]), "--conn", str(paths[1]), "--out", str(out)]
+        code = main(argv)
+        if any(faults):
+            assert code == 2
+            return
+        assert code == 0
+        if verb == "deficiency":
+            S = files[0][1]
+            levels = [k for k in range(1, k_max + 1) if not meets_all_subgroups_oracle(S, k)]
+            doc = json.loads(out.read_text())
+            assert doc["deficient_at"] == (levels[0] if levels else None)
+            assert doc["outcome"] == ("deficient" if levels else "recurrent")
+        else:
+            (_, V), (_, S) = files
+            g = cayley_reference(V, S)
+            if verb == "cayley":
+                assert read_graph(out) == g
+            else:
+                chi = chromatic_number_bruteforce(g)
+                assert json.loads(out.read_text())["chi"] == ("inf" if chi == INFINITE else chi)
 
 
 def test_chi_graph_deep_search(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -42,7 +43,7 @@ from fprec.fpgroup import (
     enum_codim_subgroups,
     gaussian_binomial,
 )
-from fprec.setops import VecSet, dfold_distinct_sumset
+from fprec.setops import VecSet, dfold_distinct_sumset_bruteforce
 
 
 def bog_scan_reference(p, d, n, r, budget, seed, c_max):
@@ -63,12 +64,31 @@ def bog_scan_reference(p, d, n, r, budget, seed, c_max):
     for assignment in assignments:
         cells = [VecSet(p, n, tuple(v for v, a in zip(universe, assignment) if a == j))
                  for j in range(r)]
-        sums = [dfold_distinct_sumset(A, d).coord_tuples() for A in cells if len(A)]
+        sums = [dfold_distinct_sumset_bruteforce(A, d).coord_tuples() for A in cells if len(A)]
         c = next((c for c in range(c_max + 1)
                   if any(elems <= T for elems in subgroups[c] for T in sums)), None)
         key = "none" if c is None else str(c)
         hist[key] = hist.get(key, 0) + 1
     return dict(sorted(hist.items()))
+
+
+def poincare_reference(p, n, k, trials, seed):
+    """exp_poincare's failure counts by the definitions: distinct differences
+    by FpVec subtraction, and a failure when some codim-k subgroup contains
+    none of them, tested with Subgroup.contains."""
+    universe = list(all_vectors(p, n))
+    subgroups = list(enum_codim_subgroups(p, n, k))
+    rng = random.Random(seed)
+
+    def arm(size):
+        failures = 0
+        for _ in range(trials):
+            E = rng.sample(universe, size)
+            D = {a - b for a in E for b in E if a != b}
+            failures += any(not any(H.contains(x) for x in D) for H in subgroups)
+        return failures
+
+    return arm(p**k + 1), arm(p**k)
 
 
 def induced_reference(rows_list, hg, p):
@@ -371,6 +391,16 @@ class TestPoincare:
         with pytest.raises(ValueError):
             exp_poincare(2, 3, 3, 10)
 
+    @pytest.mark.parametrize("p,n,k,trials,seed", [
+        (2, 3, 1, 30, 0), (2, 4, 1, 30, 1), (2, 4, 2, 20, 2), (2, 5, 2, 10, 3), (3, 2, 1, 30, 4),
+        (3, 3, 1, 20, 5), (3, 3, 2, 5, 6), (5, 2, 1, 20, 7), (7, 2, 1, 10, 8), (2, 3, 0, 10, 9),
+    ])
+    def test_failures_match_reference(self, p, n, k, trials, seed):
+        results = exp_poincare(p, n, k, trials, seed=seed).results
+        failures, observational = poincare_reference(p, n, k, trials, seed)
+        assert results["failures"] == failures
+        assert results["observational_failures_at_smaller_size"] == observational
+
 
 class TestProfileScan:
     def test_e1_deficiency_constant(self):
@@ -414,6 +444,31 @@ class TestBogScan:
         c_max = report.results["c_max_probed"]
         expect = bog_scan_reference(p, d, n, r, budget, seed, c_max)
         assert report.results["least_codim_histogram"] == expect
+
+
+# sha256 of the JSON reports, recorded from the drivers that built a VecSet
+# per trial and per cover cell; any change to a report's bytes changes them.
+SAMPLING_REPORT_DIGESTS = [
+    (exp_poincare, (2, 5, 2, 50, 11),
+     "371ca45f3ca9dc1a505fd6fad292ff63d096ed3ca962722ec968edd9d3ffb1f9"),
+    (exp_poincare, (3, 4, 1, 50, 12),
+     "cb003046a7aefbb4521cb749040c83d3fbab6e9b7f69cdbd469e567a41e80d8f"),
+    (exp_poincare, (5, 3, 1, 20, 13),
+     "a098c329f9aac71359d1470b6a0cbc0f37244cd3090fad01d4541fff7e4c1b86"),
+    (exp_bog_scan, (2, 4, 4, 3, 20, 15),
+     "3f12c3ceafee6c3d0ac8e6e8fe2061d2cbba1f8376f4f9ca78794ed7c4603ba9"),
+    (exp_bog_scan, (3, 6, 3, 2, 10, 16),
+     "daf2af369cc1f1b72e34eadeac0d9c44a810de6a01c021cd25367c4e8d028322"),
+    (exp_bog_scan, (2, 4, 2, 2, 300, 0),
+     "4ea73edc070b8b11221548926401f7c57a58f53c1da9988a3611cc83857f326f"),
+]
+
+
+@pytest.mark.parametrize("driver,args,digest", SAMPLING_REPORT_DIGESTS)
+def test_sampling_report_digests_pinned(driver, args, digest):
+    *params, seed = args
+    report = driver(*params, seed=seed)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
 class TestReportShape:

@@ -10,8 +10,12 @@ from fprec.fpgroup import (
     FpMatrix,
     FpVec,
     Subgroup,
+    all_codes,
     all_vectors,
     annihilator_array,
+    decode,
+    decode_array,
+    encode,
     enum_codim_subgroups,
     gaussian_binomial,
     hom_apply,
@@ -21,6 +25,7 @@ from fprec.fpgroup import (
     pairing,
     rref_rank,
     scan_avoiding,
+    swar_constants,
 )
 
 
@@ -286,3 +291,25 @@ class TestScanKernel:
     def test_whole_group_meets_any_point(self):
         A = annihilator_array(2, 3, 0)
         assert list(scan_avoiding(A, [(1, 0, 1)], 2)) == []
+
+
+class TestPackedCodes:
+    @given(st.sampled_from([2, 3, 5, 7, 31]), st.integers(0, 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_code_order_is_tuple_order(self, p, n, data):
+        tuples = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=12))
+        codes = [encode(t) for t in tuples]
+        assert [decode(c, n) for c in sorted(codes)] == sorted(tuples)
+        assert decode_array(codes, n).tolist() == [list(t) for t in tuples]
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 3), (5, 2), (31, 2)])
+    def test_all_codes_are_all_vectors(self, p, n):
+        assert [decode(c, n) for c in all_codes(p, n)] == [v.coords for v in all_vectors(p, n)]
+
+    def test_swar_constants(self):
+        K, H, P = swar_constants(31, 3)
+        assert (K, H, P) == (0x616161, 0x808080, 0x1F1F1F)
+        # Every byte of a + b in [0, 2p - 2] reduces mod p without carries.
+        a, b = encode((30, 0, 30)), encode((30, 30, 0))
+        t = a + b
+        assert decode(t - (((t + K) & H) >> 7) * 31, 3) == (29, 30, 30)

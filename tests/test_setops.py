@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fprec.fpgroup import FpMatrix, FpVec, hom_apply, hom_from_basis_images
+from fprec.fpgroup import FpMatrix, FpVec, decode, encode, hom_apply, hom_from_basis_images
 from fprec.setops import (
     VecSet,
     dfold_distinct_sumset,
     dfold_distinct_sumset_bruteforce,
+    difference_codes,
     difference_set,
     preimage_intersect,
+    sumset_codes,
 )
 
 
@@ -87,6 +89,67 @@ class TestDfoldSumset:
         A = vs(2, 4, (1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 0, 1), (0, 0, 0, 1))
         reversed_A = VecSet(2, 4, tuple(reversed(A.elements)))
         assert dfold_distinct_sumset(A, 3) == dfold_distinct_sumset(reversed_A, 3)
+
+
+@st.composite
+def small_vecset(draw):
+    """A set of at most 8 vectors of F_p^n, n <= 8, empty and singleton sets included."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 31]))
+    n = draw(st.integers(1, 8))
+    coords = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=8))
+    return vs(p, n, *coords)
+
+
+def codes_of(A):
+    return {encode(v.coords) for v in A}
+
+
+def vectors_of(codes, p, n):
+    return {FpVec(p, decode(c, n)) for c in codes}
+
+
+class TestCodeKernels:
+    """The kernels on packed codes against the FpVec definitions."""
+
+    @given(small_vecset(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_difference_codes_match_fpvec_subtraction(self, A, distinct_only):
+        expect = {a - b for a in A for b in A if not (distinct_only and a == b)}
+        D = difference_codes(codes_of(A), A.p, A.n)
+        if distinct_only:
+            D.discard(0)
+        assert vectors_of(D, A.p, A.n) == expect
+        assert set(difference_set(A, distinct_only=distinct_only)) == expect
+
+    @given(small_vecset(), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_sumset_codes_match_bruteforce(self, A, d):
+        expect = set(dfold_distinct_sumset_bruteforce(A, d))
+        assert vectors_of(sumset_codes(codes_of(A), A.p, A.n, d), A.p, A.n) == expect
+        assert set(dfold_distinct_sumset(A, d)) == expect
+
+    def test_empty_and_singleton(self):
+        assert difference_codes([], 5, 3) == set()
+        assert sumset_codes([], 5, 3, 1) == set()
+        x = encode((4, 0, 2))
+        assert difference_codes([x], 5, 3) == {0}
+        assert sumset_codes([x], 5, 3, 1) == {x}
+        assert sumset_codes([x], 5, 3, 2) == set()
+
+    def test_bad_d(self):
+        with pytest.raises(ValueError):
+            sumset_codes([1], 2, 1, 0)
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_p31_bytes_at_p_minus_1(self, n):
+        top, zero = encode((30,) * n), encode((0,) * n)
+        # Subtraction: bytes of a + P - b reach 2p - 1 (30 - 0) and 1 (0 - 30).
+        assert difference_codes([top, zero], 31, n) == {zero, top, encode((1,) * n)}
+        # Addition: 10 + 20 = 30 in layer 2, then 30 + 30 = 60 = 2p - 2 -> 29.
+        cell = [encode((10,) * n), encode((20,) * n), top]
+        assert sumset_codes(cell, 31, n, 3) == {encode((29,) * n)}
+        assert sumset_codes(cell, 31, n, 2) == {
+            top, encode((9,) * n), encode((19,) * n)}
 
 
 class TestPreimageIntersect:
