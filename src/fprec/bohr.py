@@ -65,8 +65,9 @@ def bohr_deficiency(S: VecSet, k_max: int, set_id: str = "") -> DeficiencyReport
     counts: dict[int, int] = {}
     for k in range(1, k_max + 1):
         A = annihilator_array(S.p, S.n, k)
-        hit = next(scan_avoiding(A, points, S.p), None)
-        if hit is not None:
+        hits = next(scan_avoiding(A, points, S.p), None)
+        if hits is not None:
+            hit = int(hits[0])
             counts[k] = hit + 1
             witness = Subgroup(S.p, S.n, FpMatrix(S.p, A[hit].tolist()))
             return DeficiencyReport(set_id, S.p, S.n, k_max, "deficient", k, witness, None, counts)

@@ -62,17 +62,6 @@ def _emit(doc: dict, out: str | None, fmt: str) -> None:
         sys.stdout.write(text)
 
 
-def _print_wall_time(t0: float) -> None:
-    # Timing goes to stderr so that reports stay byte-identical across reruns.
-    print(f"# wall time: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-
-
-def _report_exit(report: ExperimentReport, out: str | None, fmt: str, t0: float) -> int:
-    _emit(report.to_dict(), out, fmt)
-    _print_wall_time(t0)
-    return EXIT_OK if report.ok else EXIT_VALIDATION
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the report to this path")
     sub.add_argument("--format", choices=("json", "tsv"), default="json")
@@ -161,75 +150,81 @@ def _run_exp(args: argparse.Namespace) -> ExperimentReport:
     raise ValueError(f"unknown experiment {args.name!r}")
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Run one verb and return its exit code."""
+    if args.command == "deficiency":
+        S = read_vecset(args.infile)
+        report = bohr_deficiency(S, args.k_max, set_id=Path(args.infile).name)
+        doc = report.to_dict()
+        doc["input_digest"] = sha256_of_file(args.infile)
+        _emit(doc, args.out, args.format)
+        return EXIT_OK
+
+    if args.command == "chi":
+        if args.graph:
+            g = read_graph(args.graph)
+            digests = {"graph": sha256_of_file(args.graph)}
+        elif args.vertices and args.conn:
+            g = build_cayley(read_vecset(args.vertices), read_vecset(args.conn))
+            digests = {
+                "vertices": sha256_of_file(args.vertices),
+                "connection": sha256_of_file(args.conn),
+            }
+        else:
+            raise ValueError("chi needs --graph or both --vertices and --conn")
+        chi, coloring = chromatic_number_exact(g)
+        valid = verify(coloring, g)[0] if coloring is not None else None
+        doc = {
+            "chi": "inf" if chi == INFINITE else chi,
+            "coloring": list(coloring) if coloring is not None else None,
+            "coloring_valid": valid,
+            "input_digests": digests,
+        }
+        _emit(doc, args.out, args.format)
+        return EXIT_OK if valid in (True, None) else EXIT_VALIDATION
+
+    if args.command == "cayley":
+        cay = build_cayley(read_vecset(args.vertices), read_vecset(args.conn))
+        write_graph(cay.graph, args.out)
+        return EXIT_OK
+
+    if args.command == "hypergraph-chi":
+        hg = read_hypergraph(args.infile)
+        doc = {
+            "N": hg.n,
+            "num_edges": len(hg.edges),
+            "chi": hypergraph_chromatic(hg),
+            "input_digest": sha256_of_file(args.infile),
+        }
+        _emit(doc, args.out, args.format)
+        return EXIT_OK
+
+    if args.command == "bridge":
+        hg = read_hypergraph(args.infile)
+        report = run_bridge_roundtrip(args.p, hg, seed=args.seed)
+        report.input_digests["hypergraph_file"] = sha256_of_file(args.infile)
+    elif args.command == "exp":
+        report = _run_exp(args)
+    else:
+        raise ValueError(f"unknown command {args.command!r}")
+    _emit(report.to_dict(), args.out, args.format)
+    return EXIT_OK if report.ok else EXIT_VALIDATION
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if args.command == "deficiency":
-            S = read_vecset(args.infile)
-            report = bohr_deficiency(S, args.k_max, set_id=Path(args.infile).name)
-            doc = report.to_dict()
-            doc["input_digest"] = sha256_of_file(args.infile)
-            _emit(doc, args.out, args.format)
-            _print_wall_time(t0)
-            return EXIT_OK
-
-        if args.command == "chi":
-            if args.graph:
-                g = read_graph(args.graph)
-                digests = {"graph": sha256_of_file(args.graph)}
-            elif args.vertices and args.conn:
-                g = build_cayley(read_vecset(args.vertices), read_vecset(args.conn))
-                digests = {
-                    "vertices": sha256_of_file(args.vertices),
-                    "connection": sha256_of_file(args.conn),
-                }
-            else:
-                raise ValueError("chi needs --graph or both --vertices and --conn")
-            chi, coloring = chromatic_number_exact(g)
-            valid = verify(coloring, g)[0] if coloring is not None else None
-            doc = {
-                "chi": "inf" if chi == INFINITE else chi,
-                "coloring": list(coloring) if coloring is not None else None,
-                "coloring_valid": valid,
-                "input_digests": digests,
-            }
-            _emit(doc, args.out, args.format)
-            _print_wall_time(t0)
-            return EXIT_OK if valid in (True, None) else EXIT_VALIDATION
-
-        if args.command == "cayley":
-            cay = build_cayley(read_vecset(args.vertices), read_vecset(args.conn))
-            write_graph(cay.graph, args.out)
-            return EXIT_OK
-
-        if args.command == "hypergraph-chi":
-            hg = read_hypergraph(args.infile)
-            doc = {
-                "N": hg.n,
-                "num_edges": len(hg.edges),
-                "chi": hypergraph_chromatic(hg),
-                "input_digest": sha256_of_file(args.infile),
-            }
-            _emit(doc, args.out, args.format)
-            return EXIT_OK
-
-        if args.command == "bridge":
-            hg = read_hypergraph(args.infile)
-            report = run_bridge_roundtrip(args.p, hg, seed=args.seed)
-            report.input_digests["hypergraph_file"] = sha256_of_file(args.infile)
-            return _report_exit(report, args.out, args.format, t0)
-
-        if args.command == "exp":
-            return _report_exit(_run_exp(args), args.out, args.format, t0)
-
-        raise ValueError(f"unknown command {args.command!r}")
+        code = _run(args)
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # Timing goes to stderr so that reports stay byte-identical across reruns.
+    print(f"# wall time: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

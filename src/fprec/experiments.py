@@ -13,7 +13,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -43,6 +42,8 @@ from .fpgroup import (
     all_codes,
     all_vectors,
     annihilator_array,
+    check_prime,
+    chunk_slices,
     decode_array,
     gaussian_binomial,
     hom_apply,
@@ -152,16 +153,6 @@ def _bell(n: int) -> int:
     return row[0]
 
 
-# Entries per batch in the bridge's array checks: each batch's temporaries
-# stay a few MB whatever the number of rows.
-_BATCH = 1 << 16
-
-
-def _batches(rows: int, row_size: int) -> Iterator[slice]:
-    step = max(1, _BATCH // max(1, row_size))
-    return (slice(lo, lo + step) for lo in range(0, rows, step))
-
-
 def _monochromatic(labels: np.ndarray, edges: list[list[int]]) -> np.ndarray:
     """Per row of labels (vertex v's label in column v - 1), the index of the
     first edge whose vertices all share a label, or -1 if there is none."""
@@ -171,23 +162,19 @@ def _monochromatic(labels: np.ndarray, edges: list[list[int]]) -> np.ndarray:
     width = max(map(len, edges))
     # Padding an edge with its own first vertex leaves "all labels equal" as is.
     idx = np.array([[v - 1 for v in e] + [e[0] - 1] * (width - len(e)) for e in edges])
-    for rows in _batches(len(labels), idx.size):
+    for rows in chunk_slices(len(labels), idx.size):
         L = labels[rows][:, idx]
         mono = (L == L[:, :, :1]).all(axis=2)
         first[rows] = np.where(mono.any(axis=1), mono.argmax(axis=1), -1)
     return first
 
 
-def _kernel_meets(labels: np.ndarray, points, p: int) -> np.ndarray:
-    """Per row of labels, whether the kernel of its cell-indicator rows (the
-    characters x -> sum of x over a cell) contains one of the points."""
-    X = np.asarray(points, dtype=np.int64).reshape(len(points), labels.shape[1])
-    onehot = (labels[:, :, None] == np.arange(labels.max(initial=0) + 1)).astype(np.int64)
-    meets = np.zeros(len(labels), dtype=bool)
-    for rows in _batches(len(labels), onehot.shape[1] * onehot.shape[2] * len(X)):
-        sums = X @ onehot[rows]  # (rows, points, cells)
-        meets[rows] = (sums % p == 0).all(axis=2).any(axis=1)
-    return meets
+def _cell_indicators(labels: np.ndarray) -> np.ndarray:
+    """Per row of labels (counted from 1), the indicator row of each label up
+    to the largest, as an int8 (rows, cells, N) stack of annihilators.  An
+    absent label gives a zero row, which pairs to 0 with every point."""
+    cells = np.arange(1, labels.max(initial=0) + 1)
+    return (labels[:, None, :] == cells[:, None]).astype(np.int8)
 
 
 def _avoiding_subgroups(
@@ -203,7 +190,7 @@ def _avoiding_subgroups(
     tested = 0
     for k in range(1, k_used + 1):
         A = annihilator_array(p, n, k)
-        found.append(A[list(scan_avoiding(A, points, p))])
+        found.append(A[np.concatenate([np.empty(0, np.intp), *scan_avoiding(A, points, p)])])
         tested += len(A)
     return found, tested, k_used
 
@@ -260,12 +247,14 @@ def run_bridge_roundtrip(
     sizes are divisible by p but larger than p, direction (a) avoidance is
     recorded observationally rather than asserted.
 
-    Both directions are array passes, one row per partition or avoider: a
-    partition is a row of cell labels, and an avoider's labels are its
-    columns coded as integers, sum_r A[r, v] p^r.  The cell-indicator rows of
-    a partition, cells ordered by least vertex, are already the canonical
-    annihilator of its subgroup (disjoint cells, each led by a 1 at its least
-    vertex), so no Subgroup object is built.
+    Both directions are scans of fpgroup.scan_avoiding, one row per
+    partition or avoider, and no Subgroup object is built.  In (a) a
+    partition is a row of cell labels, and its cell-indicator rows, cells
+    ordered by least vertex, are already the canonical annihilator of its
+    subgroup (disjoint cells, each led by a 1 at its least vertex); the
+    partitions the scan does not hit are those whose subgroup meets the
+    indicator set.  In (b) an avoider's labels are its columns coded as
+    integers, sum_r A[r, v] p^r.
     """
     N = hg.n
     _guard(N <= 12, f"N={N} exceeds the bridge experiment bound 12")
@@ -295,7 +284,9 @@ def run_bridge_roundtrip(
     labels = np.array(candidates, dtype=np.int64).reshape(len(candidates), N)
     # Keeps the proper draws; exhaustive candidates are proper, and this re-checks them.
     labels = labels[_monochromatic(labels, edges) < 0]
-    meets = _kernel_meets(labels, [v.coords for v in E_fam.elements], p)
+    meets = np.ones(len(labels), dtype=bool)
+    for hits in scan_avoiding(_cell_indicators(labels), [v.coords for v in E_fam.elements], p):
+        meets[hits] = False
     violations = [
         f"uniform family: subgroup from partition {_cells(labels[i])} "
         "fails to avoid the indicator set"
@@ -417,8 +408,9 @@ def exp_poincare(p: int, n: int, k: int, trials: int, seed: int = 0) -> Experime
     codim-k subgroup; any failure fails the run.  The |E| = p^k arm is
     observational only.
     """
-    if not k < n:
-        raise ValueError(f"need k < n, got k={k}, n={n}")
+    check_prime(p)
+    if not 0 <= k < n:
+        raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _guard(p**n <= 2**14, f"p^n = {p}^{n} exceeds the sampling bound 2^14")
@@ -528,6 +520,7 @@ def exp_bog_scan(
 ) -> ExperimentReport:
     """Scan r-covers of F_p^n for the least codimension c such that some cell's
     d-fold distinct sumset contains a full codim-c subgroup (observational)."""
+    check_prime(p)
     if d % p != 0 or d <= 2:
         raise ValueError(f"d must be > 2 and divisible by p, got d={d}, p={p}")
     if r < 1:

@@ -380,9 +380,15 @@ class Subgroup:
             yield linear_combination(coeffs, basis, p=self.p, n=self.n)
 
 
-# Products per chunk in scan_avoiding: small enough to stay in cache, large
+# Entries per chunk of an array pass: small enough to stay in cache, large
 # enough that numpy's per-call overhead stays a small share.
 _CHUNK = 1 << 16
+
+
+def chunk_slices(rows: int, row_size: int) -> Iterator[slice]:
+    """Consecutive slices of range(rows), each about _CHUNK entries of row_size."""
+    step = max(1, _CHUNK // max(1, row_size))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 def annihilator_array(p: int, n: int, k: int) -> np.ndarray:
@@ -415,21 +421,22 @@ def annihilator_array(p: int, n: int, k: int) -> np.ndarray:
     return A[np.lexsort(A.reshape(len(A), -1).T[::-1])]
 
 
-def scan_avoiding(A: np.ndarray, points, p: int) -> Iterator[int]:
-    """Indices, ascending, of the annihilators in A whose kernel misses every point.
+def scan_avoiding(A: np.ndarray, points, p: int) -> Iterator[np.ndarray]:
+    """Indices of the annihilators in A whose kernel misses every point.
 
-    A is an annihilator_array; points is a sequence of coordinate tuples.
-    Chunks of A are tested with one integer product each, so a consumer that
-    stops at the first index pays for at most one chunk past it.
+    A is a (rows, k, n) integer array of annihilators, such as an
+    annihilator_array; points is a sequence of coordinate tuples.  Chunks of
+    A are tested with one integer product each, and each chunk that holds a
+    hit yields one ascending index array, so a consumer that stops at the
+    first array pays for no chunk past it.
     """
     _, k, n = A.shape
     X = np.asarray(points, dtype=np.int64).reshape(-1, n).T
-    step = max(1, _CHUNK // max(1, k * X.shape[1]))
-    for lo in range(0, len(A), step):
-        # misses[i]: every point has some row of A[lo + i] pairing nonzero.
-        misses = ((A[lo:lo + step] @ X) % p).any(axis=1).all(axis=1)
-        for i in misses.nonzero()[0]:
-            yield lo + int(i)
+    for rows in chunk_slices(len(A), k * X.shape[1]):
+        # Hit i: every point has some row of A[rows][i] pairing nonzero.
+        hits = ((A[rows] @ X) % p).any(axis=1).all(axis=1).nonzero()[0]
+        if len(hits):
+            yield rows.start + hits
 
 
 def enum_codim_subgroups(p: int, n: int, k: int) -> Iterator[Subgroup]:

@@ -13,6 +13,7 @@ from fprec.colorings import (
     INFINITE,
     Graph,
     Hypergraph,
+    build_cayley,
     chromatic_number_bruteforce,
     hypergraph_chromatic_bruteforce,
 )
@@ -341,11 +342,44 @@ class TestCli:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_exp_wall_time_on_stderr_only(self, capsys):
+    def test_exp_wall_time_on_stderr_only(self, verb_argvs, tmp_path, capsys):
         assert main(["exp", "poincare", "--trials", "5"]) == 0
         out, err = capsys.readouterr()
         assert re.fullmatch(r"# wall time: \d+\.\d{3}s\n", err)
         assert "wall" not in out and json.loads(out)["ok"] is True
+        # Every verb prints its wall time once, on stderr only: the report on
+        # stdout equals the one written by --out, and cayley's edge list is
+        # exactly the built graph's.
+        for verb, argv in verb_argvs.items():
+            runs = [argv] if verb == "cayley" else [argv, argv + ["--out", str(tmp_path / "r")]]
+            texts = []
+            for run in runs:
+                assert main(run) == 0, verb
+                out, err = capsys.readouterr()
+                assert re.fullmatch(r"# wall time: \d+\.\d{3}s\n", err), verb
+                texts.append(out)
+            if verb == "cayley":
+                assert texts == [""]
+                write_graph(build_cayley(read_vecset(argv[2]), read_vecset(argv[4])).graph,
+                            tmp_path / "r")
+                texts = [Path(argv[6]).read_text()]
+            texts.append((tmp_path / "r").read_text())
+            assert texts[0] == texts[-1] and "wall" not in texts[0], verb
+
+    @pytest.mark.parametrize("argv", [
+        [*exp, "--p", str(p)] for p in (1, 4, 9, 37) for exp in (
+            ["exp", "poincare", "--n", "3", "--k", "1", "--trials", "5"],
+            ["exp", "bog-scan", "--n", "2", "--d", str(4 * p), "--budget", "5"],
+        )
+    ])
+    def test_sampling_drivers_reject_non_prime_p(self, argv, capsys):
+        assert main(argv) == 2
+        assert f"p must be a prime <= 31, got {argv[-1]}" in capsys.readouterr().err
+
+    def test_poincare_negative_k_exit_2(self, capsys):
+        assert main(["exp", "poincare", "--k", "-1", "--trials", "5"]) == 2
+        assert "need 0 <= k < n, got k=-1" in capsys.readouterr().err
+        assert main(["exp", "poincare", "--k", "0", "--trials", "5"]) == 0
 
     def test_tsv_format(self, e1_file, capsys):
         assert main(["deficiency", "--in", e1_file, "--k-max", "1", "--format", "tsv"]) == 0

@@ -16,8 +16,8 @@ from fprec.colorings import (
 )
 from fprec.experiments import (
     _avoiding_subgroups,
+    _cell_indicators,
     _induced_violations,
-    _kernel_meets,
     _monochromatic,
     exp_bog_scan,
     exp_ep_roundtrip,
@@ -33,6 +33,7 @@ from fprec.families import (
     gallai_square_hypergraph,
     weight_d_set,
 )
+from fprec import fpgroup
 from fprec.fpgroup import (
     FpMatrix,
     FpVec,
@@ -42,6 +43,7 @@ from fprec.fpgroup import (
     annihilator_array,
     enum_codim_subgroups,
     gaussian_binomial,
+    scan_avoiding,
 )
 from fprec.setops import VecSet, dfold_distinct_sumset_bruteforce
 
@@ -296,12 +298,19 @@ class TestEpRoundtrip:
                 assert (f == -1) == ok
                 assert ok or edges[f] == bad
 
-    def test_kernel_meets_matches_subgroup_contains(self):
+    def test_kernel_meets_matches_subgroup_contains(self, monkeypatch):
+        # Direction (a)'s path: a partition's subgroup meets the points exactly
+        # when scan_avoiding does not hit the stack of its cell-indicator rows.
+        # Rows with fewer cells, or a gap in their labels, are padded with zero
+        # rows; a tiny chunk makes every scan cross chunk boundaries.
+        monkeypatch.setattr(fpgroup, "_CHUNK", 5)
         rng = random.Random(37)
+        mixed = False
         for p in (2, 3, 5):
             for _ in range(10):
                 N = rng.randrange(1, 7)
-                labels = np.array([[rng.randrange(3) for _ in range(N)] for _ in range(20)])
+                labels = np.array([[rng.randrange(3) for _ in range(N)] for _ in range(20)]) + 1
+                mixed |= len({len(set(row)) for row in labels.tolist()}) > 1
                 points = [tuple(rng.randrange(p) for _ in range(N))
                           for _ in range(rng.randrange(0, 4))]
                 expected = []
@@ -309,7 +318,10 @@ class TestEpRoundtrip:
                     cells = [[int(c == lab) for c in row] for lab in sorted(set(row))]
                     H = Subgroup.from_dual_vectors([FpVec(p, tuple(r)) for r in cells], p=p, n=N)
                     expected.append(any(H.contains(FpVec(p, x)) for x in points))
-                assert _kernel_meets(labels, points, p).tolist() == expected
+                hits = {int(i) for a in scan_avoiding(_cell_indicators(labels), points, p)
+                        for i in a}
+                assert [i not in hits for i in range(len(labels))] == expected
+        assert mixed
 
     @pytest.mark.parametrize("p, hg", [
         (2, Hypergraph.from_edge_lists(5, itertools.combinations(range(1, 6), 2))),

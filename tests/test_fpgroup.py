@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from fprec.fpgroup import (
     all_codes,
     all_vectors,
     annihilator_array,
+    chunk_slices,
     decode,
     decode_array,
     encode,
@@ -281,12 +283,22 @@ class TestScanKernel:
         for size in (1, 2, 3, 5):
             pts = rng.sample(pool, size)
             expect = [i for i, H in enumerate(subs) if not any(H.contains(x) for x in pts)]
-            assert list(scan_avoiding(A, [x.coords for x in pts], p)) == expect
+            arrays = list(scan_avoiding(A, [x.coords for x in pts], p))
+            assert [int(i) for hits in arrays for i in hits] == expect
+            # One non-empty, strictly ascending array per chunk with a hit.
+            chunks = list(chunk_slices(len(A), k * size))
+            owners = []
+            for hits in arrays:
+                assert len(hits) > 0 and (np.diff(hits) > 0).all()
+                owners += [j for j, c in enumerate(chunks)
+                           if c.start <= hits[0] and hits[-1] < c.stop]
+            assert len(owners) == len(arrays) == len(set(owners))
 
     def test_empty_set_missed_by_every_subgroup(self):
         for k in range(4):
             A = annihilator_array(3, 3, k)
-            assert list(scan_avoiding(A, [], 3)) == list(range(len(A)))
+            hits = [int(i) for a in scan_avoiding(A, [], 3) for i in a]
+            assert hits == list(range(len(A)))
 
     def test_whole_group_meets_any_point(self):
         A = annihilator_array(2, 3, 0)
