@@ -13,7 +13,8 @@ from .fpgroup import (
     FpMatrix,
     ResourceGuardError,
     Subgroup,
-    annihilator_array,
+    annihilator_level,
+    dual_rows,
     enum_codim_subgroups,
     scan_avoiding,
 )
@@ -62,16 +63,17 @@ def bohr_deficiency(S: VecSet, k_max: int, set_id: str = "") -> DeficiencyReport
     if not 1 <= k_max <= S.n:
         raise ValueError(f"k_max={k_max} must lie in [1, {S.n}]")
     points = [v.coords for v in S.elements]
+    rows = dual_rows(S.p, S.n)
     counts: dict[int, int] = {}
     for k in range(1, k_max + 1):
-        A = annihilator_array(S.p, S.n, k)
-        hits = next(scan_avoiding(A, points, S.p), None)
+        level = annihilator_level(S.p, S.n, k)
+        hits = next(scan_avoiding(rows, level, [points], S.p), None)
         if hits is not None:
             hit = int(hits[0])
             counts[k] = hit + 1
-            witness = Subgroup(S.p, S.n, FpMatrix(S.p, A[hit].tolist()))
+            witness = Subgroup(S.p, S.n, FpMatrix(S.p, rows[level[hit]].tolist()))
             return DeficiencyReport(set_id, S.p, S.n, k_max, "deficient", k, witness, None, counts)
-        counts[k] = len(A)
+        counts[k] = len(level)
     return DeficiencyReport(set_id, S.p, S.n, k_max, "recurrent", None, None, k_max, counts)
 
 

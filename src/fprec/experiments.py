@@ -41,10 +41,11 @@ from .fpgroup import (
     ResourceGuardError,
     all_codes,
     all_vectors,
-    annihilator_array,
+    annihilator_level,
     check_prime,
     chunk_slices,
     decode_array,
+    dual_rows,
     gaussian_binomial,
     hom_apply,
     hom_from_basis_images,
@@ -169,12 +170,37 @@ def _monochromatic(labels: np.ndarray, edges: list[list[int]]) -> np.ndarray:
     return first
 
 
-def _cell_indicators(labels: np.ndarray) -> np.ndarray:
+def _cell_indicators(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of labels (counted from 1), the indicator row of each label up
-    to the largest, as an int8 (rows, cells, N) stack of annihilators.  An
-    absent label gives a zero row, which pairs to 0 with every point."""
-    cells = np.arange(1, labels.max(initial=0) + 1)
-    return (labels[:, None, :] == cells[:, None]).astype(np.int8)
+    to the largest, as a (rows, level) pair for scan_avoiding.  rows lists
+    all 2^N 0/1 vectors of length N in lex order (the bridge keeps N <= 12),
+    and a cell's index into it is
+    its indicator read as a binary number from vertex 1, so the stack of
+    indicator rows is never built.  An absent label gives index 0, the zero
+    row, which pairs to 0 with every point."""
+    R, N = labels.shape
+    k = labels.max(initial=0)
+    # Vertex v adds 2^(N - v) to the code of its row's cell.
+    cell = labels - 1 + k * np.arange(R)[:, None]
+    bit = np.tile(1 << np.arange(N - 1, -1, -1), R)
+    codes = np.bincount(cell.ravel(), bit, minlength=R * k).astype(np.intp).reshape(R, k)
+    rows = (np.arange(2**N)[:, None] >> np.arange(N - 1, -1, -1)) & 1
+    return rows.astype(np.int8), codes
+
+
+def _stacked_levels(p: int, n: int, ks: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The levels ks of F_p^n as one level for scan_avoiding, so that one
+    pairing table serves them all.  Returns dual_rows(p, n) with a zero row
+    appended, the levels in order with each matrix padded to max(ks) rows by
+    the zero row (which pairs to 0 with every point, so leaves a kernel as it
+    is), and the first index of each level followed by the total."""
+    rows = np.concatenate([dual_rows(p, n), np.zeros((1, n), dtype=np.int8)])
+    blocks = [annihilator_level(p, n, k) for k in ks]
+    starts = np.cumsum([0] + [len(b) for b in blocks])
+    level = np.full((starts[-1], max(ks, default=0)), len(rows) - 1, dtype=np.int32)
+    for k, b, lo in zip(ks, blocks, starts):
+        level[lo : lo + len(b), :k] = b
+    return rows, level, starts
 
 
 def _avoiding_subgroups(
@@ -186,13 +212,13 @@ def _avoiding_subgroups(
     p, n = E_fam.p, E_fam.n
     points = [v.coords for v in E_fam.elements]
     k_used = max(0, min(k_max, _feasible_k_max(p, n, budget)))
-    found = []
-    tested = 0
-    for k in range(1, k_used + 1):
-        A = annihilator_array(p, n, k)
-        found.append(A[np.concatenate([np.empty(0, np.intp), *scan_avoiding(A, points, p)])])
-        tested += len(A)
-    return found, tested, k_used
+    if not k_used:
+        return [], 0, 0
+    rows, level, starts = _stacked_levels(p, n, range(1, k_used + 1))
+    hits = np.concatenate([np.empty(0, np.intp), *scan_avoiding(rows, level, [points], p)])
+    cuts = np.searchsorted(hits, starts)
+    found = [rows[level[hits[lo:hi], :k]] for k, lo, hi in zip(range(1, k_used + 1), cuts, cuts[1:])]
+    return found, int(starts[-1]), k_used
 
 
 def _induced_violations(A: np.ndarray, edges: list[list[int]], p: int) -> list[str]:
@@ -285,7 +311,7 @@ def run_bridge_roundtrip(
     # Keeps the proper draws; exhaustive candidates are proper, and this re-checks them.
     labels = labels[_monochromatic(labels, edges) < 0]
     meets = np.ones(len(labels), dtype=bool)
-    for hits in scan_avoiding(_cell_indicators(labels), [v.coords for v in E_fam.elements], p):
+    for hits in scan_avoiding(*_cell_indicators(labels), [[v.coords for v in E_fam.elements]], p):
         meets[hits] = False
     violations = [
         f"uniform family: subgroup from partition {_cells(labels[i])} "
@@ -415,22 +441,28 @@ def exp_poincare(p: int, n: int, k: int, trials: int, seed: int = 0) -> Experime
         raise ValueError("trials must be >= 1")
     _guard(p**n <= 2**14, f"p^n = {p}^{n} exceeds the sampling bound 2^14")
     universe = all_codes(p, n)
-    A = annihilator_array(p, n, k)
+    rows = dual_rows(p, n)
+    level = annihilator_level(p, n, k)
     rng = random.Random(seed)
 
     def run_arm(size: int) -> int:
-        failures = 0
+        # One scan for all trials: trial t fails when some subgroup misses its
+        # difference set, point set t of the scan.
+        sets = []
         for _ in range(trials):
             D = difference_codes(rng.sample(universe, size), p, n)
             D.discard(0)  # distinct differences only
-            failures += next(scan_avoiding(A, decode_array(D, n), p), None) is not None
-        return failures
+            sets.append(decode_array(D, n))
+        failed = np.zeros(trials, dtype=bool)
+        for hits in scan_avoiding(rows, level, sets, p):
+            failed[hits % trials] = True
+        return int(failed.sum())
 
     failures = run_arm(p**k + 1)
     observational_failures = run_arm(p**k)
     verdicts = {"no_failures_at_pigeonhole_size": failures == 0}
     results = {
-        "subgroups_per_trial": len(A),
+        "subgroups_per_trial": len(level),
         "failures": failures,
         "observational_failures_at_smaller_size": observational_failures,
         "trials": trials,
@@ -526,21 +558,26 @@ def exp_bog_scan(
     if r < 1:
         raise ValueError("r must be >= 1")
     _guard(p**n <= 2**12, f"p^n = {p}^{n} exceeds the scan bound 2^12")
+    # Each cover's sumset DP adds every element of F_p^n to up to d layers of
+    # up to p^n sums; 2^18 of that work keeps a cover well under a second.
+    work = p ** (2 * n) * d
+    _guard(work <= 2**18, f"(p^n)^2 * d = {work} exceeds the sumset bound 2^18")
     universe = all_codes(p, n)
     U = decode_array(universe, n)
     size = len(universe)
     c_max = _feasible_k_max(p, n, budget=20_000)
-    levels = [annihilator_array(p, n, c) for c in range(0, c_max + 1)]
+    rows, level, starts = _stacked_levels(p, n, range(c_max + 1))
 
     def least_codim(cells: list[list[int]]) -> int | None:
         # A subgroup lies inside a sumset exactly when it misses the sumset's
-        # complement in F_p^n; a sumset without 0 holds no subgroup.
+        # complement in F_p^n; a sumset without 0 holds no subgroup.  Levels
+        # are stacked by codimension, so the first hit has the least one.
         sums = [sumset_codes(cell, p, n, d) for cell in cells if cell]
         outside = [U[[c not in T for c in universe]] for T in sums if 0 in T]
-        for c, A in enumerate(levels):
-            if any(next(scan_avoiding(A, X, p), None) is not None for X in outside):
-                return c
-        return None
+        hits = next(scan_avoiding(rows, level, outside, p), None)
+        if hits is None:
+            return None
+        return int(np.searchsorted(starts, hits[0] // len(outside), side="right")) - 1
 
     if r**size <= budget:
         assignments = itertools.product(range(r), repeat=size)

@@ -9,6 +9,7 @@ subgroups that miss a set.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Iterator, Sequence
@@ -22,8 +23,9 @@ class ResourceGuardError(RuntimeError):
 
 MAX_PRIME = 31
 MAX_GROUP_ORDER = 2**24
-# Largest codimension level annihilator_array builds; the 2^22 - 1
-# annihilators of codimension 1 in F_2^22 peak near 330 MB while sorted.
+# Largest codimension level annihilator_level builds, and largest dual_rows
+# table; scanning the 2^22 - 1 hyperplanes of F_2^22 against the 231
+# weight-2 vectors peaks near 260 MiB.
 MAX_SUBGROUPS = 2**22
 # Largest vertex count a graph or hypergraph file may declare; the chromatic
 # search is quadratic in |V|, and the header is checked before any allocation.
@@ -391,52 +393,144 @@ def chunk_slices(rows: int, row_size: int) -> Iterator[slice]:
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
-def annihilator_array(p: int, n: int, k: int) -> np.ndarray:
-    """All full-rank k x n RREF matrices over F_p, one per codim-k subgroup.
-
-    Returns an int8 array of shape (C(n, k)_p, k, n) in lex order of the
-    matrices read row by row, the order enum_codim_subgroups yields.  Raises
-    ResourceGuardError, before allocating, when C(n, k)_p exceeds MAX_SUBGROUPS.
-    """
+def _check_level(n: int, k: int, p: int) -> None:
     count = gaussian_binomial(n, k, p)
     if count > MAX_SUBGROUPS:
         raise ResourceGuardError(
             f"C({n}, {k})_{p} = {count} subgroups exceeds the per-level bound 2^22"
         )
+
+
+def dual_rows(p: int, n: int) -> np.ndarray:
+    """The nonzero dual vectors of F_p^n whose leading coefficient is 1, in lex order.
+
+    Every row of a canonical annihilator is one of them.  Returns an int8
+    array of shape (C(n, 1)_p, n).  The row led by a 1 in column n - 1 - m,
+    whose m later coordinates read t in base p, has index (p^m - 1)/(p - 1) + t.
+    Raises ResourceGuardError, before allocating, when C(n, 1)_p exceeds
+    MAX_SUBGROUPS.
+    """
+    _check_level(n, 1, p)
+    # Row t of tails holds t in base p in columns 1..n - 1, so its first p^m
+    # rows hold the tails of length m, preceded by n - m zeros.
+    width = max(n - 1, 0)
+    tails = np.zeros((p**width, n), dtype=np.int8)
+    tails[:, n - width :] = np.indices((p,) * width, dtype=np.int8).reshape(width, p**width).T
+    out = np.empty((gaussian_binomial(n, 1, p), n), dtype=np.int8)
+    for m in range(n):
+        first = (p**m - 1) // (p - 1)
+        out[first : first + p**m] = tails[: p**m]
+        out[first : first + p**m, n - 1 - m] = 1
+    return out
+
+
+def annihilator_level(p: int, n: int, k: int) -> np.ndarray:
+    """All full-rank k x n RREF matrices over F_p, one per codim-k subgroup, as
+    indices into dual_rows(p, n).
+
+    Returns an int32 array of shape (C(n, k)_p, k), row i of a matrix being
+    dual_rows(p, n)[level[:, i]], in lex order of the matrices read row by
+    row, the order enum_codim_subgroups yields.  Raises ResourceGuardError,
+    before allocating, when C(n, k)_p exceeds MAX_SUBGROUPS.
+    """
+    _check_level(n, k, p)
+    # Index of the row led by column j with a zero tail, and the values a
+    # coordinate in column j adds to the index of a row led further left.
+    lead = [(p ** (n - 1 - j) - 1) // (p - 1) for j in range(n)]
+    digit = [np.arange(p, dtype=np.int32) * p ** (n - 1 - j) for j in range(n)]
     blocks = []
     for pivots in itertools.combinations(range(n), k):
-        # Free cells: non-pivot columns to the right of each row's pivot.
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
-        block = np.zeros((p ** len(free), k, n), dtype=np.int8)
-        block[:, range(k), list(pivots)] = 1
-        if free:
-            rows, cols = zip(*free)
-            values = np.indices((p,) * len(free), dtype=np.int8).reshape(len(free), -1)
-            block[:, rows, cols] = values.T
-        blocks.append(block)
-    A = np.concatenate(blocks)
+        # Row i ranges over lead[pivot] plus any values in its free cells: the
+        # non-pivot columns to the right of its pivot.  The block is the
+        # product of those ranges.
+        ranges = []
+        for c in pivots:
+            r = np.array([lead[c]], dtype=np.int32)
+            for j in range(c + 1, n):
+                if j not in pivots:
+                    r = (r[:, None] + digit[j]).ravel()
+            ranges.append(r)
+        shape = [len(r) for r in ranges]
+        block = np.empty(shape + [k], dtype=np.int32)
+        for i, r in enumerate(ranges):
+            block[..., i] = r.reshape([-1 if i == h else 1 for h in range(k)])
+        blocks.append(block.reshape(math.prod(shape), k))
+    level = np.concatenate(blocks)
     if k == 0:
-        return A  # the one empty matrix; lexsort needs at least one key
-    # lexsort takes its primary key last: reverse the row-major entries.
-    return A[np.lexsort(A.reshape(len(A), -1).T[::-1])]
+        return level  # the one empty matrix; lexsort needs at least one key
+    # Rows sort like their indices, and lexsort takes its primary key last.
+    return level[np.lexsort(level.T[::-1])]
 
 
-def scan_avoiding(A: np.ndarray, points, p: int) -> Iterator[np.ndarray]:
-    """Indices of the annihilators in A whose kernel misses every point.
+def annihilator_array(p: int, n: int, k: int) -> np.ndarray:
+    """The codim-k level as an int8 array of shape (C(n, k)_p, k, n) of matrices."""
+    return dual_rows(p, n)[annihilator_level(p, n, k)]
 
-    A is a (rows, k, n) integer array of annihilators, such as an
-    annihilator_array; points is a sequence of coordinate tuples.  Chunks of
-    A are tested with one integer product each, and each chunk that holds a
-    hit yields one ascending index array, so a consumer that stops at the
-    first array pays for no chunk past it.
+
+def scan_avoiding(
+    rows: np.ndarray, level: np.ndarray, point_sets: Sequence, p: int
+) -> Iterator[np.ndarray]:
+    """The (annihilator, point set) pairs whose kernel misses every point of the set.
+
+    Annihilator i of level is the matrix rows[level[i]]: level is an
+    (R, k) integer index into the (T, n) table rows, such as
+    annihilator_level into dual_rows.  Each point set is a sequence of
+    coordinate tuples or an (m, n) array.  With G point sets, the pair
+    (i, g) is numbered i * G + g, so with one set a hit is an index into
+    level.
+
+    For each table row r and point s the kernel builds Z[r, s], whether
+    <r, s> = 0 mod p, as bits, one byte-aligned run per set.  Annihilator i
+    meets point s exactly when the AND of Z over its k rows holds at s.
+    Chunks of level are tested by gathering those rows, and each chunk that
+    holds a hit yields one ascending array of pair numbers, so a consumer
+    that stops at the first array pays for no chunk past it.
     """
-    _, k, n = A.shape
-    X = np.asarray(points, dtype=np.int64).reshape(-1, n).T
-    for rows in chunk_slices(len(A), k * X.shape[1]):
-        # Hit i: every point has some row of A[rows][i] pairing nonzero.
-        hits = ((A[rows] @ X) % p).any(axis=1).all(axis=1).nonzero()[0]
+    sizes = [len(s) for s in point_sets]
+    k = level.shape[1]
+    if not sizes or not len(level):
+        return
+    if k == 0:
+        # The one empty matrix: the whole group misses only the empty sets.
+        hits = [g for g, m in enumerate(sizes) if m == 0]
+        if hits:
+            yield np.array(hits)
+        return
+    n = rows.shape[1]
+    # Set g owns the bytes from starts[g] on, at least one even when empty.
+    # Row n of X pairs with a constant 1 in every table row, so the padding
+    # bits of each byte pair to 1 and never read as zero.
+    starts = []
+    width = 0
+    for m in sizes:
+        starts.append(width)
+        width += max(1, -(-m // 8))
+    X = np.zeros((n + 1, 8 * width), dtype=np.float32)
+    X[n] = 1
+    for b, s, m in zip(starts, point_sets, sizes):
+        if m:
+            X[:n, 8 * b : 8 * b + m] = np.asarray(s).T
+            X[n, 8 * b : 8 * b + m] = 0
+    Z = np.empty((len(rows), width), dtype=np.uint8)
+    inv = np.float32(1 / p)
+    for sl in chunk_slices(len(rows), 8 * width):
+        # Entries of Y are integers of at most (p - 1)^2 n + 1, far below
+        # 2^22, so exact in float32, and rint(Y / p) * p equals Y exactly when
+        # p divides Y.
+        Y = rows[sl] @ X[:n]
+        Y += X[n]
+        q = Y * inv
+        np.rint(q, out=q)
+        q *= p
+        Z[sl] = np.packbits(q == Y, axis=1)
+    for sl in chunk_slices(len(level), k * sum(sizes)):
+        gathered = Z[level[sl].T]  # (k, rows of the chunk, width)
+        meets = gathered[0]
+        for r in range(1, k):
+            meets &= gathered[r]
+        hits = (np.bitwise_or.reduceat(meets, starts, axis=1) == 0).ravel().nonzero()[0]
         if len(hits):
-            yield rows.start + hits
+            yield sl.start * len(sizes) + hits
 
 
 def enum_codim_subgroups(p: int, n: int, k: int) -> Iterator[Subgroup]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -96,6 +97,20 @@ class TestBohrDeficiency:
             level_small = rep_small.deficient_at or 99
             level_big = rep_big.deficient_at or 99
             assert level_big >= level_small
+
+    def test_level_scan_memory_bounded(self):
+        # The pairing table is built in row chunks and kept as bits, so the
+        # scan of 65,535 hyperplanes against 120 points stays near 3 MiB;
+        # a table of whole float or bool rows would take tens of MiB.
+        S = weight_d_set(2, 16, 2)
+        tracemalloc.start()
+        try:
+            rep = bohr_deficiency(S, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.checked_per_level == {1: 65535}
+        assert peak <= 8 * 2**20
 
 
 class TestOracle:

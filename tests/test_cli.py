@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -406,6 +407,15 @@ class TestCli:
         assert main(["exp", "poincare", "--p", "2", "--n", "14", "--k", "7",
                      "--trials", "1"]) == 3
         assert "exceeds the per-level bound" in capsys.readouterr().err
+
+    def test_bog_scan_sumset_guard_exit_3(self, capsys):
+        # (31^2)^2 * 62 units of sumset DP work per cover: refused up front
+        # instead of running for about an hour.
+        start = time.perf_counter()
+        assert main(["exp", "bog-scan", "--p", "31", "--n", "2", "--d", "62", "--r", "2",
+                     "--budget", "1"]) == 3
+        assert time.perf_counter() - start < 1
+        assert "exceeds the sumset bound 2^18" in capsys.readouterr().err
 
     def test_deficiency_level_guard_exit_3(self, tmp_path, capsys):
         # Level 1 of F_2^20 (about 10^6 subgroups) is scanned; level 2, with

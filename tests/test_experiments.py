@@ -318,7 +318,7 @@ class TestEpRoundtrip:
                     cells = [[int(c == lab) for c in row] for lab in sorted(set(row))]
                     H = Subgroup.from_dual_vectors([FpVec(p, tuple(r)) for r in cells], p=p, n=N)
                     expected.append(any(H.contains(FpVec(p, x)) for x in points))
-                hits = {int(i) for a in scan_avoiding(_cell_indicators(labels), points, p)
+                hits = {int(i) for a in scan_avoiding(*_cell_indicators(labels), [points], p)
                         for i in a}
                 assert [i not in hits for i in range(len(labels))] == expected
         assert mixed
@@ -406,6 +406,7 @@ class TestPoincare:
     @pytest.mark.parametrize("p,n,k,trials,seed", [
         (2, 3, 1, 30, 0), (2, 4, 1, 30, 1), (2, 4, 2, 20, 2), (2, 5, 2, 10, 3), (3, 2, 1, 30, 4),
         (3, 3, 1, 20, 5), (3, 3, 2, 5, 6), (5, 2, 1, 20, 7), (7, 2, 1, 10, 8), (2, 3, 0, 10, 9),
+        (3, 2, 0, 10, 10), (5, 2, 0, 10, 11), (5, 3, 2, 3, 12),
     ])
     def test_failures_match_reference(self, p, n, k, trials, seed):
         results = exp_poincare(p, n, k, trials, seed=seed).results
@@ -459,7 +460,9 @@ class TestBogScan:
 
 
 # sha256 of the JSON reports, recorded from the drivers that built a VecSet
-# per trial and per cover cell; any change to a report's bytes changes them.
+# per trial and per cover cell, and (the last two, the defaults of
+# `exp poincare --k 0` and `--p 5`) from the driver that scanned each trial
+# on its own; any change to a report's bytes changes them.
 SAMPLING_REPORT_DIGESTS = [
     (exp_poincare, (2, 5, 2, 50, 11),
      "371ca45f3ca9dc1a505fd6fad292ff63d096ed3ca962722ec968edd9d3ffb1f9"),
@@ -473,6 +476,10 @@ SAMPLING_REPORT_DIGESTS = [
      "daf2af369cc1f1b72e34eadeac0d9c44a810de6a01c021cd25367c4e8d028322"),
     (exp_bog_scan, (2, 4, 2, 2, 300, 0),
      "4ea73edc070b8b11221548926401f7c57a58f53c1da9988a3611cc83857f326f"),
+    (exp_poincare, (2, 4, 0, 100, 0),
+     "a617e115d3580c26a1ed97fad07a8765d6f7abbc7364f6d5aab6f0aa46112a67"),
+    (exp_poincare, (5, 4, 1, 100, 0),
+     "49cc0b752bc48561914660ae3cbe75039de0dbf81a571d69da51ebc06885a899"),
 ]
 
 

@@ -14,9 +14,11 @@ from fprec.fpgroup import (
     all_codes,
     all_vectors,
     annihilator_array,
+    annihilator_level,
     chunk_slices,
     decode,
     decode_array,
+    dual_rows,
     encode,
     enum_codim_subgroups,
     gaussian_binomial,
@@ -283,7 +285,8 @@ class TestScanKernel:
         for size in (1, 2, 3, 5):
             pts = rng.sample(pool, size)
             expect = [i for i, H in enumerate(subs) if not any(H.contains(x) for x in pts)]
-            arrays = list(scan_avoiding(A, [x.coords for x in pts], p))
+            arrays = list(scan_avoiding(dual_rows(p, n), annihilator_level(p, n, k),
+                                        [[x.coords for x in pts]], p))
             assert [int(i) for hits in arrays for i in hits] == expect
             # One non-empty, strictly ascending array per chunk with a hit.
             chunks = list(chunk_slices(len(A), k * size))
@@ -294,15 +297,32 @@ class TestScanKernel:
                            if c.start <= hits[0] and hits[-1] < c.stop]
             assert len(owners) == len(arrays) == len(set(owners))
 
+    @pytest.mark.parametrize("p,n,k", [(2, 4, 1), (2, 4, 2), (3, 3, 2), (5, 2, 1), (2, 4, 0)])
+    def test_point_sets_number_pairs(self, p, n, k, monkeypatch):
+        # Pair (i, g) is numbered i * G + g.  Empty sets are missed by every
+        # subgroup, and a set of 9 points spans two bytes of the table.
+        monkeypatch.setattr(fpgroup, "_CHUNK", 5)
+        rng = random.Random(p * 100 + n * 10 + k)
+        pool = list(all_vectors(p, n))
+        sets = [rng.sample(pool, size) for size in (0, 3, 1, 9, 0, 2)]
+        expect = [i * len(sets) + g
+                  for i, H in enumerate(enum_codim_subgroups(p, n, k))
+                  for g, pts in enumerate(sets) if not any(H.contains(x) for x in pts)]
+        rows, level = dual_rows(p, n), annihilator_level(p, n, k)
+        arrays = scan_avoiding(rows, level, [[x.coords for x in pts] for pts in sets], p)
+        assert [int(i) for hits in arrays for i in hits] == expect
+        assert list(scan_avoiding(rows, level, [], p)) == []
+
     def test_empty_set_missed_by_every_subgroup(self):
         for k in range(4):
             A = annihilator_array(3, 3, k)
-            hits = [int(i) for a in scan_avoiding(A, [], 3) for i in a]
+            hits = [int(i) for a in scan_avoiding(dual_rows(3, 3), annihilator_level(3, 3, k),
+                                                  [[]], 3) for i in a]
             assert hits == list(range(len(A)))
 
     def test_whole_group_meets_any_point(self):
-        A = annihilator_array(2, 3, 0)
-        assert list(scan_avoiding(A, [(1, 0, 1)], 2)) == []
+        assert list(scan_avoiding(dual_rows(2, 3), annihilator_level(2, 3, 0),
+                                  [[(1, 0, 1)]], 2)) == []
 
 
 class TestPackedCodes:
