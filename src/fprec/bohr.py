@@ -65,15 +65,18 @@ def bohr_deficiency(S: VecSet, k_max: int, set_id: str = "") -> DeficiencyReport
     points = [v.coords for v in S.elements]
     rows = dual_rows(S.p, S.n)
     counts: dict[int, int] = {}
-    for k in range(1, k_max + 1):
-        level = annihilator_level(S.p, S.n, k)
-        hits = next(scan_avoiding(rows, level, [points], S.p), None)
-        if hits is not None:
-            hit = int(hits[0])
-            counts[k] = hit + 1
-            witness = Subgroup(S.p, S.n, FpMatrix(S.p, rows[level[hit]].tolist()))
-            return DeficiencyReport(set_id, S.p, S.n, k_max, "deficient", k, witness, None, counts)
-        counts[k] = len(level)
+
+    def levels():
+        for k in range(1, k_max + 1):
+            level = annihilator_level(S.p, S.n, k)
+            counts[k] = len(level)
+            yield level
+
+    for level, hits in scan_avoiding(rows, levels(), [points], S.p):
+        k, hit = level.shape[1], int(hits[0])
+        counts[k] = hit + 1
+        witness = Subgroup(S.p, S.n, FpMatrix(S.p, rows[level[hit]].tolist()))
+        return DeficiencyReport(set_id, S.p, S.n, k_max, "deficient", k, witness, None, counts)
     return DeficiencyReport(set_id, S.p, S.n, k_max, "recurrent", None, None, k_max, counts)
 
 

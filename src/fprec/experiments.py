@@ -172,35 +172,15 @@ def _monochromatic(labels: np.ndarray, edges: list[list[int]]) -> np.ndarray:
 
 def _cell_indicators(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of labels (counted from 1), the indicator row of each label up
-    to the largest, as a (rows, level) pair for scan_avoiding.  rows lists
-    all 2^N 0/1 vectors of length N in lex order (the bridge keeps N <= 12),
-    and a cell's index into it is
-    its indicator read as a binary number from vertex 1, so the stack of
-    indicator rows is never built.  An absent label gives index 0, the zero
-    row, which pairs to 0 with every point."""
+    to the largest, as a (rows, level) pair for scan_avoiding: rows stacks
+    the k indicator rows of each label row, and level row i indexes label
+    row i's.  An absent label gives a zero row, which pairs to 0 with every
+    point."""
     R, N = labels.shape
     k = labels.max(initial=0)
-    # Vertex v adds 2^(N - v) to the code of its row's cell.
-    cell = labels - 1 + k * np.arange(R)[:, None]
-    bit = np.tile(1 << np.arange(N - 1, -1, -1), R)
-    codes = np.bincount(cell.ravel(), bit, minlength=R * k).astype(np.intp).reshape(R, k)
-    rows = (np.arange(2**N)[:, None] >> np.arange(N - 1, -1, -1)) & 1
-    return rows.astype(np.int8), codes
-
-
-def _stacked_levels(p: int, n: int, ks: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The levels ks of F_p^n as one level for scan_avoiding, so that one
-    pairing table serves them all.  Returns dual_rows(p, n) with a zero row
-    appended, the levels in order with each matrix padded to max(ks) rows by
-    the zero row (which pairs to 0 with every point, so leaves a kernel as it
-    is), and the first index of each level followed by the total."""
-    rows = np.concatenate([dual_rows(p, n), np.zeros((1, n), dtype=np.int8)])
-    blocks = [annihilator_level(p, n, k) for k in ks]
-    starts = np.cumsum([0] + [len(b) for b in blocks])
-    level = np.full((starts[-1], max(ks, default=0)), len(rows) - 1, dtype=np.int32)
-    for k, b, lo in zip(ks, blocks, starts):
-        level[lo : lo + len(b), :k] = b
-    return rows, level, starts
+    cells = np.zeros((R, k, N), dtype=np.int8)
+    cells[np.arange(R)[:, None], labels - 1, np.arange(N)] = 1
+    return cells.reshape(R * k, N), np.arange(R * k).reshape(R, k)
 
 
 def _avoiding_subgroups(
@@ -214,11 +194,13 @@ def _avoiding_subgroups(
     k_used = max(0, min(k_max, _feasible_k_max(p, n, budget)))
     if not k_used:
         return [], 0, 0
-    rows, level, starts = _stacked_levels(p, n, range(1, k_used + 1))
-    hits = np.concatenate([np.empty(0, np.intp), *scan_avoiding(rows, level, [points], p)])
-    cuts = np.searchsorted(hits, starts)
-    found = [rows[level[hits[lo:hi], :k]] for k, lo, hi in zip(range(1, k_used + 1), cuts, cuts[1:])]
-    return found, int(starts[-1]), k_used
+    rows = dual_rows(p, n)
+    levels = [annihilator_level(p, n, k) for k in range(1, k_used + 1)]
+    avoids = [np.zeros(len(level), dtype=bool) for level in levels]
+    for level, hits in scan_avoiding(rows, levels, [points], p):
+        avoids[level.shape[1] - 1][hits] = True
+    found = [rows[level[a]] for level, a in zip(levels, avoids)]
+    return found, sum(map(len, levels)), k_used
 
 
 def _induced_violations(A: np.ndarray, edges: list[list[int]], p: int) -> list[str]:
@@ -311,7 +293,8 @@ def run_bridge_roundtrip(
     # Keeps the proper draws; exhaustive candidates are proper, and this re-checks them.
     labels = labels[_monochromatic(labels, edges) < 0]
     meets = np.ones(len(labels), dtype=bool)
-    for hits in scan_avoiding(*_cell_indicators(labels), [[v.coords for v in E_fam.elements]], p):
+    rows, level = _cell_indicators(labels)
+    for _, hits in scan_avoiding(rows, [level], [[v.coords for v in E_fam.elements]], p):
         meets[hits] = False
     violations = [
         f"uniform family: subgroup from partition {_cells(labels[i])} "
@@ -398,6 +381,11 @@ def exp_lift_transfer(
     k_lift = _feasible_k_max(p, m, budget=50_000)
     rep_S = bohr_deficiency(S, k_S, "S") if k_S >= 1 else None
     rep_lift = bohr_deficiency(S_lift, k_lift, "S_lift") if k_lift >= 1 else None
+    witnesses_ok = all(
+        verify(rep.witness, T)[0]
+        for rep, T in ((rep_S, S), (rep_lift, S_lift))
+        if rep is not None and rep.witness is not None
+    )
     results = {
         "rho_columns": [list(c.coords) for c in columns],
         "lift_size": len(S_lift),
@@ -405,7 +393,7 @@ def exp_lift_transfer(
         "deficiency_S": rep_S.to_dict() if rep_S else None,
         "deficiency_lift": rep_lift.to_dict() if rep_lift else None,
     }
-    verdicts = {"lift_maps_into_S": mapped_ok}
+    verdicts = {"lift_maps_into_S": mapped_ok, "deficiency_witnesses_valid": witnesses_ok}
     return ExperimentReport(
         "lift_transfer",
         {"p": p, "d": d, "n": n, "m": m, "seed": seed},
@@ -454,7 +442,7 @@ def exp_poincare(p: int, n: int, k: int, trials: int, seed: int = 0) -> Experime
             D.discard(0)  # distinct differences only
             sets.append(decode_array(D, n))
         failed = np.zeros(trials, dtype=bool)
-        for hits in scan_avoiding(rows, level, sets, p):
+        for _, hits in scan_avoiding(rows, [level], sets, p):
             failed[hits % trials] = True
         return int(failed.sum())
 
@@ -557,6 +545,10 @@ def exp_bog_scan(
         raise ValueError(f"d must be > 2 and divisible by p, got d={d}, p={p}")
     if r < 1:
         raise ValueError("r must be >= 1")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     _guard(p**n <= 2**12, f"p^n = {p}^{n} exceeds the scan bound 2^12")
     # Each cover's sumset DP adds every element of F_p^n to up to d layers of
     # up to p^n sums; 2^18 of that work keeps a cover well under a second.
@@ -566,18 +558,17 @@ def exp_bog_scan(
     U = decode_array(universe, n)
     size = len(universe)
     c_max = _feasible_k_max(p, n, budget=20_000)
-    rows, level, starts = _stacked_levels(p, n, range(c_max + 1))
+    rows = dual_rows(p, n)
+    levels = [annihilator_level(p, n, c) for c in range(c_max + 1)]
 
     def least_codim(cells: list[list[int]]) -> int | None:
         # A subgroup lies inside a sumset exactly when it misses the sumset's
         # complement in F_p^n; a sumset without 0 holds no subgroup.  Levels
-        # are stacked by codimension, so the first hit has the least one.
+        # are scanned by codimension, so the first hit has the least one.
         sums = [sumset_codes(cell, p, n, d) for cell in cells if cell]
         outside = [U[[c not in T for c in universe]] for T in sums if 0 in T]
-        hits = next(scan_avoiding(rows, level, outside, p), None)
-        if hits is None:
-            return None
-        return int(np.searchsorted(starts, hits[0] // len(outside), side="right")) - 1
+        hit = next(scan_avoiding(rows, levels, outside, p), None)
+        return None if hit is None else hit[0].shape[1]
 
     if r**size <= budget:
         assignments = itertools.product(range(r), repeat=size)

@@ -24,9 +24,6 @@ class LatticeWindow:
         if self.W < 2:
             raise ValueError(f"window side must be >= 2, got {self.W}")
 
-    def points(self) -> list[tuple[int, int]]:
-        return [(r, c) for r in range(1, self.W + 1) for c in range(1, self.W + 1)]
-
     def index_of(self, point: tuple[int, int]) -> int:
         """Row-major bijection b: point -> index in [1, W^2]."""
         r, c = point
@@ -139,10 +136,9 @@ def fin_decode(fs: FinSet) -> FpVec:
 
 
 def square_connection_set(W: int) -> VecSet:
-    """S_square(W) decoded into F_2^(W*W): the connection set of the square
-    Cayley graph."""
-    n = W * W
-    return VecSet(2, n, tuple(fin_decode(fs) for fs in s_square_set(W)))
+    """The indicator vectors in F_2^(W*W) of the squares of the W x W window:
+    the connection set of the square Cayley graph, S_square(W) decoded."""
+    return family_indicator_set(gallai_square_hypergraph(W), 2)
 
 
 def fin2_vertices(W: int) -> VecSet:

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -359,10 +359,6 @@ class Subgroup:
     def codim(self) -> int:
         return self.annihilator.rows
 
-    @property
-    def is_whole_group(self) -> bool:
-        return self.codim == 0
-
     def contains(self, x: FpVec) -> bool:
         if x.p != self.p or x.n != self.n:
             raise ValueError("vector does not live in the ambient group")
@@ -468,33 +464,28 @@ def annihilator_array(p: int, n: int, k: int) -> np.ndarray:
 
 
 def scan_avoiding(
-    rows: np.ndarray, level: np.ndarray, point_sets: Sequence, p: int
-) -> Iterator[np.ndarray]:
-    """The (annihilator, point set) pairs whose kernel misses every point of the set.
+    rows: np.ndarray, levels: Iterable[np.ndarray], point_sets: Sequence, p: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (annihilator, point set) pairs whose kernel misses every point of
+    the set, level by level.
 
-    Annihilator i of level is the matrix rows[level[i]]: level is an
-    (R, k) integer index into the (T, n) table rows, such as
-    annihilator_level into dual_rows.  Each point set is a sequence of
-    coordinate tuples or an (m, n) array.  With G point sets, the pair
-    (i, g) is numbered i * G + g, so with one set a hit is an index into
-    level.
+    Each level is an (R, k) integer index into the (T, n) table rows, such
+    as annihilator_level into dual_rows: its annihilator i is the matrix
+    rows[level[i]].  Levels are read lazily and in order.  Each point set is
+    a sequence of coordinate tuples or an (m, n) array.  With G point sets,
+    the pair (i, g) is numbered i * G + g within its level, so with one set
+    a hit is an index into its level.
 
-    For each table row r and point s the kernel builds Z[r, s], whether
-    <r, s> = 0 mod p, as bits, one byte-aligned run per set.  Annihilator i
-    meets point s exactly when the AND of Z over its k rows holds at s.
-    Chunks of level are tested by gathering those rows, and each chunk that
-    holds a hit yields one ascending array of pair numbers, so a consumer
-    that stops at the first array pays for no chunk past it.
+    Once per call the kernel builds Z[r, s], whether <r, s> = 0 mod p, for
+    each table row r and point s, as bits, one byte-aligned run per set.
+    Annihilator i meets point s exactly when the AND of Z over its k rows
+    holds at s.  Chunks of each level are tested by gathering those rows,
+    and each chunk that holds a hit yields (level, ascending array of pair
+    numbers), so a consumer that stops at the first hit pays for no chunk,
+    and reads no level, past it.
     """
     sizes = [len(s) for s in point_sets]
-    k = level.shape[1]
-    if not sizes or not len(level):
-        return
-    if k == 0:
-        # The one empty matrix: the whole group misses only the empty sets.
-        hits = [g for g, m in enumerate(sizes) if m == 0]
-        if hits:
-            yield np.array(hits)
+    if not sizes:
         return
     n = rows.shape[1]
     # Set g owns the bytes from starts[g] on, at least one even when empty.
@@ -515,22 +506,32 @@ def scan_avoiding(
     inv = np.float32(1 / p)
     for sl in chunk_slices(len(rows), 8 * width):
         # Entries of Y are integers of at most (p - 1)^2 n + 1, far below
-        # 2^22, so exact in float32, and rint(Y / p) * p equals Y exactly when
+        # 2^24, so exact in float32, and rint(Y / p) * p equals Y exactly when
         # p divides Y.
         Y = rows[sl] @ X[:n]
         Y += X[n]
         q = Y * inv
         np.rint(q, out=q)
         q *= p
-        Z[sl] = np.packbits(q == Y, axis=1)
-    for sl in chunk_slices(len(level), k * sum(sizes)):
-        gathered = Z[level[sl].T]  # (k, rows of the chunk, width)
-        meets = gathered[0]
-        for r in range(1, k):
-            meets &= gathered[r]
-        hits = (np.bitwise_or.reduceat(meets, starts, axis=1) == 0).ravel().nonzero()[0]
-        if len(hits):
-            yield sl.start * len(sizes) + hits
+        # Rows hold 8 * width bits, so packing the flat array packs each row
+        # apart, and runs far faster than packbits along axis 1 on narrow rows.
+        Z[sl] = np.packbits((q == Y).ravel()).reshape(-1, width)
+    empty_sets = np.flatnonzero(np.array(sizes) == 0)
+    for level in levels:
+        k = level.shape[1]
+        if k == 0:
+            # The one empty matrix: the whole group misses only the empty sets.
+            if len(level) and len(empty_sets):
+                yield level, empty_sets
+            continue
+        for sl in chunk_slices(len(level), k * sum(sizes)):
+            gathered = Z[level[sl].T]  # (k, rows of the chunk, width)
+            meets = gathered[0]
+            for r in range(1, k):
+                meets &= gathered[r]
+            hits = (np.bitwise_or.reduceat(meets, starts, axis=1) == 0).ravel().nonzero()[0]
+            if len(hits):
+                yield level, sl.start * len(sizes) + hits
 
 
 def enum_codim_subgroups(p: int, n: int, k: int) -> Iterator[Subgroup]:

@@ -112,6 +112,16 @@ class TestBohrDeficiency:
         assert rep.checked_per_level == {1: 65535}
         assert peak <= 8 * 2**20
 
+    def test_builds_no_level_past_the_deficient_one(self):
+        # Level 2 of F_17^5 has C(5, 2)_17 = 25,734,890 > 2^22 subgroups, so
+        # building it would trip the level guard; the hyperplane x_1 = 0
+        # already misses S at level 1.
+        S = vs(17, 5, (1, 0, 0, 0, 0), (0, 3, 0, 0, 5))
+        rep = bohr_deficiency(S, 2)
+        assert rep.outcome == "deficient"
+        assert rep.deficient_at == 1
+        assert verify(rep.witness, S)[0]
+
 
 class TestOracle:
     def test_full_group_meets_everything(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tempfile
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fprec import experiments
 from fprec.cli import build_parser, main
-from fprec.bohr import meets_all_subgroups_oracle
+from fprec.bohr import bohr_deficiency, meets_all_subgroups_oracle
 from fprec.colorings import (
     INFINITE,
     Graph,
@@ -28,7 +30,7 @@ from fprec.fileio import (
     write_hypergraph,
     write_vecset,
 )
-from fprec.fpgroup import FpVec, ResourceGuardError
+from fprec.fpgroup import FpVec, ResourceGuardError, Subgroup
 from fprec.setops import VecSet
 
 
@@ -381,6 +383,39 @@ class TestCli:
         assert main(["exp", "poincare", "--k", "-1", "--trials", "5"]) == 2
         assert "need 0 <= k < n, got k=-1" in capsys.readouterr().err
         assert main(["exp", "poincare", "--k", "0", "--trials", "5"]) == 0
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_bog_scan_empty_budget_exit_2(self, budget, capsys):
+        # A budget that scans no cover would report a vacuous histogram.
+        assert main(["exp", "bog-scan", "--p", "2", "--n", "3", "--d", "4",
+                     "--budget", budget]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "budget must be >= 1" in err
+
+    def test_bog_scan_negative_n_exit_2(self, capsys):
+        assert main(["exp", "bog-scan", "--p", "2", "--n", "-1", "--d", "4"]) == 2
+        assert "n must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_lift_transfer_checks_deficiency_witnesses(self, tmp_path, monkeypatch, capsys):
+        # S = {(1, 0)} is deficient at 1 (witness x_1 = 0); a witness that
+        # meets S must fail the report.
+        path = tmp_path / "s.txt"
+        write_vecset(VecSet(2, 2, (FpVec(2, (1, 0)),)), path)
+        argv = ["exp", "lift-transfer", "--p", "2", "--n", "2", "--d", "4", "--m", "4",
+                "--set", str(path)]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"]["deficiency_S"]["witness_annihilator"] == [[1, 0]]
+        assert doc["verdicts"]["deficiency_witnesses_valid"] is True
+
+        def wrong_witness(S, k_max, set_id=""):
+            rep = bohr_deficiency(S, k_max, set_id)
+            return dataclasses.replace(rep, witness=Subgroup.whole_group(S.p, S.n))
+
+        monkeypatch.setattr(experiments, "bohr_deficiency", wrong_witness)
+        assert main(argv) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdicts"]["deficiency_witnesses_valid"] is False
 
     def test_tsv_format(self, e1_file, capsys):
         assert main(["deficiency", "--in", e1_file, "--k-max", "1", "--format", "tsv"]) == 0

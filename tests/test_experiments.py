@@ -318,8 +318,8 @@ class TestEpRoundtrip:
                     cells = [[int(c == lab) for c in row] for lab in sorted(set(row))]
                     H = Subgroup.from_dual_vectors([FpVec(p, tuple(r)) for r in cells], p=p, n=N)
                     expected.append(any(H.contains(FpVec(p, x)) for x in points))
-                hits = {int(i) for a in scan_avoiding(*_cell_indicators(labels), [points], p)
-                        for i in a}
+                rows, level = _cell_indicators(labels)
+                hits = {int(i) for _, a in scan_avoiding(rows, [level], [points], p) for i in a}
                 assert [i not in hits for i in range(len(labels))] == expected
         assert mixed
 

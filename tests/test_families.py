@@ -15,10 +15,12 @@ from fprec.families import (
     fin_encode,
     gallai_square_hypergraph,
     s_square_set,
+    square_connection_set,
     weight_d_set,
 )
 from fprec.fpgroup import FpVec, all_vectors
 from fprec.colorings import Hypergraph
+from fprec.setops import VecSet
 
 
 class TestWeightDSet:
@@ -118,6 +120,13 @@ class TestSquares:
             for e in gallai_square_hypergraph(W).edges
         }
         assert from_edges == {fs.points for fs in s_square_set(W)}
+
+    @pytest.mark.parametrize("W", range(2, 9))
+    def test_connection_set_is_the_decoded_finset_route(self, W):
+        # square_connection_set reads the squares off the hypergraph; decoding
+        # the FinSet squares gives the same set.
+        decoded = VecSet(2, W * W, tuple(fin_decode(fs) for fs in s_square_set(W)))
+        assert square_connection_set(W) == decoded
 
 
 class TestFinEncoding:

@@ -197,7 +197,7 @@ class TestEnumeration:
 
     def test_k_zero_is_whole_group(self):
         (H,) = enum_codim_subgroups(2, 4, 0)
-        assert H.is_whole_group
+        assert H == Subgroup.whole_group(2, 4)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -285,8 +285,10 @@ class TestScanKernel:
         for size in (1, 2, 3, 5):
             pts = rng.sample(pool, size)
             expect = [i for i, H in enumerate(subs) if not any(H.contains(x) for x in pts)]
-            arrays = list(scan_avoiding(dual_rows(p, n), annihilator_level(p, n, k),
-                                        [[x.coords for x in pts]], p))
+            level = annihilator_level(p, n, k)
+            pairs = list(scan_avoiding(dual_rows(p, n), [level], [[x.coords for x in pts]], p))
+            assert all(lv is level for lv, _ in pairs)
+            arrays = [hits for _, hits in pairs]
             assert [int(i) for hits in arrays for i in hits] == expect
             # One non-empty, strictly ascending array per chunk with a hit.
             chunks = list(chunk_slices(len(A), k * size))
@@ -309,20 +311,51 @@ class TestScanKernel:
                   for i, H in enumerate(enum_codim_subgroups(p, n, k))
                   for g, pts in enumerate(sets) if not any(H.contains(x) for x in pts)]
         rows, level = dual_rows(p, n), annihilator_level(p, n, k)
-        arrays = scan_avoiding(rows, level, [[x.coords for x in pts] for pts in sets], p)
-        assert [int(i) for hits in arrays for i in hits] == expect
-        assert list(scan_avoiding(rows, level, [], p)) == []
+        pairs = list(scan_avoiding(rows, [level], [[x.coords for x in pts] for pts in sets], p))
+        assert all(lv is level for lv, _ in pairs)
+        assert [int(i) for _, hits in pairs for i in hits] == expect
+        assert list(scan_avoiding(rows, [level], [], p)) == []
 
     def test_empty_set_missed_by_every_subgroup(self):
         for k in range(4):
             A = annihilator_array(3, 3, k)
-            hits = [int(i) for a in scan_avoiding(dual_rows(3, 3), annihilator_level(3, 3, k),
-                                                  [[]], 3) for i in a]
+            hits = [int(i) for _, a in scan_avoiding(dual_rows(3, 3), [annihilator_level(3, 3, k)],
+                                                     [[]], 3) for i in a]
             assert hits == list(range(len(A)))
 
     def test_whole_group_meets_any_point(self):
-        assert list(scan_avoiding(dual_rows(2, 3), annihilator_level(2, 3, 0),
+        assert list(scan_avoiding(dual_rows(2, 3), [annihilator_level(2, 3, 0)],
                                   [[(1, 0, 1)]], 2)) == []
+
+    @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2)])
+    def test_levels_scan_as_separate_scans_in_order(self, p, n, monkeypatch):
+        # One call over levels 0..n yields, level by level and in level
+        # order, the hits of one-level scans, with pair numbers local to
+        # each level.
+        monkeypatch.setattr(fpgroup, "_CHUNK", 5)
+        rng = random.Random(p * 10 + n)
+        pool = list(all_vectors(p, n))
+        rows = dual_rows(p, n)
+        levels = [annihilator_level(p, n, k) for k in range(n + 1)]
+        for sizes in [(0,), (1,), (3, 0, 2), (2, 5), (0, 0), (p**n - 1, 1)]:
+            sets = [[x.coords for x in rng.sample(pool, m)] for m in sizes]
+            got = list(scan_avoiding(rows, levels, sets, p))
+            ks = [level.shape[1] for level, _ in got]
+            assert ks == sorted(ks)
+            for level in levels:
+                expect = [int(i) for _, hits in scan_avoiding(rows, [level], sets, p)
+                          for i in hits]
+                assert [int(i) for lv, hits in got if lv is level for i in hits] == expect
+            assert all(any(lv is level for level in levels) for lv, _ in got)
+
+    def test_stops_without_reading_the_next_level(self):
+        # A consumer that stops at the first hit never advances the levels.
+        def levels():
+            yield annihilator_level(2, 3, 1)
+            raise AssertionError("read a level past the first hit")
+
+        level, hits = next(scan_avoiding(dual_rows(2, 3), levels(), [[(1, 0, 0)]], 2))
+        assert level.shape == (7, 1) and len(hits) > 0
 
 
 class TestPackedCodes:
