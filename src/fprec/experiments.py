@@ -345,7 +345,7 @@ def exp_ep_roundtrip(p: int, N: int, family: str, seed: int = 0) -> ExperimentRe
             raise ValueError(f"gallai family needs a square N, got {N}")
         hg = gallai_square_hypergraph(W)
     else:
-        raise ValueError(f"unknown family {family!r}")
+        raise ValueError(f"unknown family {family!r}; expected all-pairs, ap3 or gallai")
     report = run_bridge_roundtrip(p, hg, seed=seed)
     report.parameters["family"] = family
     report.parameters["N"] = N
@@ -493,6 +493,8 @@ def exp_profile_scan(
     lo, hi = n_range
     if lo > hi or lo < 1:
         raise ValueError(f"bad n range {n_range}")
+    if r_max < 1:
+        raise ValueError("r_max must be >= 1")
     _guard(p**hi <= 2**12, f"p^n = {p}^{hi} exceeds the scan bound 2^12")
     rows = []
     for n in range(lo, hi + 1):

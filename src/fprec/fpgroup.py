@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Collection, Iterable, Iterator, Sequence
+from functools import lru_cache, wraps
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +29,12 @@ MAX_GROUP_ORDER = 2**24
 # table; scanning the 2^22 - 1 hyperplanes of F_2^22 against the 231
 # weight-2 vectors peaks near 260 MiB.
 MAX_SUBGROUPS = 2**22
+# Bounds of the per-process memo of levels and dual tables (_LEVELS).  A
+# table above _MEMO_ENTRY_BYTES, 2^20 int32 entries, is built afresh on every
+# call, so no level near MAX_SUBGROUPS and no F_2^22 dual table is ever kept;
+# the tables kept total at most _MEMO_BYTES.
+_MEMO_ENTRY_BYTES = 4 * 2**20
+_MEMO_BYTES = 16 * 2**20
 # Largest vertex count a graph or hypergraph file may declare; the chromatic
 # search is quadratic in |V|, and the header is checked before any allocation.
 MAX_VERTICES = 2**16
@@ -397,12 +405,62 @@ def _check_level(n: int, k: int, p: int) -> None:
         )
 
 
+class _ArrayMemo:
+    """A memo of read-only arrays, keyed by the arguments that built them.
+
+    Every array it returns is read-only.  One above entry_bytes is returned
+    without being kept; the kept arrays total at most total_bytes, the least
+    recently used evicted first.  Only a returned array is kept, so a build
+    that raises raises again on the next call.
+    """
+
+    def __init__(self, entry_bytes: int, total_bytes: int):
+        self.entry_bytes = entry_bytes
+        self.total_bytes = total_bytes
+        self.kept: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+        with self._lock:
+            if key in self.kept:
+                self.kept.move_to_end(key)
+                return self.kept[key]
+        out = build()
+        out.flags.writeable = False
+        if out.nbytes <= self.entry_bytes:
+            with self._lock:
+                if key not in self.kept:
+                    self.kept[key] = out
+                    self.nbytes += out.nbytes
+                    while self.nbytes > self.total_bytes:
+                        self.nbytes -= self.kept.popitem(last=False)[1].nbytes
+        return out
+
+
+# A level depends only on (p, n, k), never on the set scanned, so every
+# caller in the process shares one copy.
+_LEVELS = _ArrayMemo(_MEMO_ENTRY_BYTES, _MEMO_BYTES)
+
+
+def _memoized(build: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """build, served from _LEVELS; its __wrapped__ attribute builds afresh."""
+
+    @wraps(build)
+    def memoized(*args: int) -> np.ndarray:
+        return _LEVELS.get((build.__name__, *args), lambda: build(*args))
+
+    return memoized
+
+
+@_memoized
 def dual_rows(p: int, n: int) -> np.ndarray:
     """The nonzero dual vectors of F_p^n whose leading coefficient is 1, in lex order.
 
-    Every row of a canonical annihilator is one of them.  Returns an int8
-    array of shape (C(n, 1)_p, n).  The row led by a 1 in column n - 1 - m,
-    whose m later coordinates read t in base p, has index (p^m - 1)/(p - 1) + t.
+    Every row of a canonical annihilator is one of them.  Returns a
+    read-only int8 array of shape (C(n, 1)_p, n), memoized per process.  The
+    row led by a 1 in column n - 1 - m, whose m later coordinates read t in
+    base p, has index (p^m - 1)/(p - 1) + t.
     Raises ResourceGuardError, before allocating, when C(n, 1)_p exceeds
     MAX_SUBGROUPS.
     """
@@ -420,14 +478,16 @@ def dual_rows(p: int, n: int) -> np.ndarray:
     return out
 
 
+@_memoized
 def annihilator_level(p: int, n: int, k: int) -> np.ndarray:
     """All full-rank k x n RREF matrices over F_p, one per codim-k subgroup, as
     indices into dual_rows(p, n).
 
-    Returns an int32 array of shape (C(n, k)_p, k), row i of a matrix being
-    dual_rows(p, n)[level[:, i]], in lex order of the matrices read row by
-    row, the order enum_codim_subgroups yields.  Raises ResourceGuardError,
-    before allocating, when C(n, k)_p exceeds MAX_SUBGROUPS.
+    Returns a read-only int32 array of shape (C(n, k)_p, k), memoized per
+    process, row i of a matrix being dual_rows(p, n)[level[:, i]], in lex
+    order of the matrices read row by row, the order enum_codim_subgroups
+    yields.  Raises ResourceGuardError, before allocating, when C(n, k)_p
+    exceeds MAX_SUBGROUPS.
     """
     _check_level(n, k, p)
     # Index of the row led by column j with a zero tail, and the values a

@@ -396,6 +396,20 @@ class TestCli:
         assert main(["exp", "bog-scan", "--p", "2", "--n", "-1", "--d", "4"]) == 2
         assert "n must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r_max", ["0", "-1"])
+    def test_profile_scan_r_max_below_1_exit_2(self, r_max, capsys):
+        # chi "> r_max" for r_max < 1 says nothing about the graph.
+        assert main(["exp", "profile-scan", "--n", "3", "--r-max", r_max]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "r_max must be >= 1" in err
+        assert main(["exp", "profile-scan", "--n", "3", "--r-max", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["profile"][0]["chi"] == ">1"
+
+    def test_ep_roundtrip_without_family_names_the_families(self, capsys):
+        # The exp parser's shared --family defaults to profile-scan's "ep".
+        assert main(["exp", "ep-roundtrip"]) == 2
+        assert "expected all-pairs, ap3 or gallai" in capsys.readouterr().err
+
     def test_lift_transfer_checks_deficiency_witnesses(self, tmp_path, monkeypatch, capsys):
         # S = {(1, 0)} is deficient at 1 (witness x_1 = 0); a witness that
         # meets S must fail the report.

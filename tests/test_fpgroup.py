@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fprec import fpgroup
 from fprec.fpgroup import (
     FpMatrix,
     FpVec,
+    ResourceGuardError,
     Subgroup,
     all_codes,
     all_vectors,
@@ -356,6 +359,115 @@ class TestScanKernel:
 
         level, hits = next(scan_avoiding(dual_rows(2, 3), levels(), [[(1, 0, 0)]], 2))
         assert level.shape == (7, 1) and len(hits) > 0
+
+
+class TestLevelMemo:
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        """An empty memo with the production bounds in place of the shared one."""
+        memo = fpgroup._ArrayMemo(fpgroup._MEMO_ENTRY_BYTES, fpgroup._MEMO_BYTES)
+        monkeypatch.setattr(fpgroup, "_LEVELS", memo)
+        return memo
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_repeated_calls_equal_a_fresh_build(self, p, memo):
+        for n in range(6):
+            rows = dual_rows(p, n)
+            assert rows is dual_rows(p, n)
+            assert np.array_equal(rows, dual_rows.__wrapped__(p, n))
+            for k in range(n + 1):
+                level = annihilator_level(p, n, k)
+                again = annihilator_level(p, n, k)
+                assert again is level
+                fresh = annihilator_level.__wrapped__(p, n, k)
+                assert again.dtype == fresh.dtype and np.array_equal(again, fresh)
+
+    def test_returned_tables_are_read_only(self, memo):
+        # Every caller shares one copy, so none may write into it; an array
+        # too large to keep is read-only as well.
+        memo.entry_bytes = 100
+        for table in (annihilator_level(3, 3, 1), annihilator_level(3, 3, 2), dual_rows(3, 3)):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+    def test_guard_raises_on_every_call(self, memo):
+        # C(23, 1)_2 = 2^23 - 1 exceeds the per-level bound; nothing is kept.
+        for _ in range(2):
+            with pytest.raises(ResourceGuardError):
+                annihilator_level(2, 23, 1)
+            with pytest.raises(ResourceGuardError):
+                dual_rows(2, 23)
+        assert not memo.kept and memo.nbytes == 0
+
+    def test_table_above_entry_bound_is_not_kept(self, memo):
+        # Level (2, 4, 1) takes 15 * 1 * 4 = 60 bytes, level (2, 4, 2) 35 * 2 * 4.
+        memo.entry_bytes = 100
+        small, large = annihilator_level(2, 4, 1), annihilator_level(2, 4, 2)
+        assert annihilator_level(2, 4, 1) is small
+        again = annihilator_level(2, 4, 2)
+        assert again is not large and np.array_equal(again, large)
+        assert list(memo.kept) == [("annihilator_level", 2, 4, 1)] and memo.nbytes == 60
+
+    def test_level_near_the_guard_is_never_kept(self):
+        # A level of codim k >= 1 near MAX_SUBGROUPS rows, and the F_2^22
+        # dual table, are over the entry bound by their sizes alone.
+        assert fpgroup._MEMO_ENTRY_BYTES == 4 * 2**20 and fpgroup._MEMO_BYTES == 16 * 2**20
+        assert (fpgroup.MAX_SUBGROUPS // 4 + 1) * 4 > fpgroup._MEMO_ENTRY_BYTES
+        assert gaussian_binomial(22, 1, 2) * 4 > fpgroup._MEMO_ENTRY_BYTES
+        assert gaussian_binomial(22, 1, 2) * 22 > fpgroup._MEMO_ENTRY_BYTES
+
+    def test_kept_bytes_stay_within_budget(self, memo):
+        # Both bounds scaled down 256-fold: about 1.2 MiB of distinct levels
+        # and dual tables against a 64 KiB budget.
+        memo.entry_bytes, memo.total_bytes = 2**14, 2**16
+        shapes = [(p, n, k) for p in (2, 3, 5, 7) for n in range(11) if p**n <= 2**10
+                  for k in range(n + 1) if gaussian_binomial(n, k, p) <= 2**14]
+        for p, n, k in shapes:
+            dual_rows(p, n)
+            annihilator_level(p, n, k)
+            assert memo.nbytes == sum(a.nbytes for a in memo.kept.values())
+            assert memo.nbytes <= memo.total_bytes
+            assert max(a.nbytes for a in memo.kept.values()) <= memo.entry_bytes
+        assert ("annihilator_level", 2, 1, 0) not in memo.kept  # the budget evicted
+
+    def test_least_recently_used_is_evicted_first(self, memo):
+        # Levels (2, 4, 1) and (2, 5, 1) take 60 and 124 bytes.
+        memo.total_bytes = 200
+        first = annihilator_level(2, 4, 1)
+        annihilator_level(2, 5, 1)
+        assert annihilator_level(2, 4, 1) is first
+        annihilator_level(2, 3, 1)  # 28 bytes: 212 > 200 evicts (2, 5, 1)
+        assert list(memo.kept) == [("annihilator_level", 2, 4, 1), ("annihilator_level", 2, 3, 1)]
+        assert memo.nbytes == 88
+
+    def test_threads_keep_the_accounting(self, memo):
+        # More threads than cores hammer a memo that evicts on most builds.
+        memo.total_bytes = 4096
+        shapes = [(p, n, k) for p in (2, 3) for n in range(1, 6) for k in range(n + 1)]
+        errors = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(300):
+                    p, n, k = rng.choice(shapes)
+                    assert np.array_equal(annihilator_level(p, n, k),
+                                          annihilator_level.__wrapped__(p, n, k))
+            except BaseException as exc:  # reported through errors below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert memo.nbytes == sum(a.nbytes for a in memo.kept.values()) <= memo.total_bytes
 
 
 class TestPackedCodes:
