@@ -67,6 +67,38 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
+def _lift_transfer(a: argparse.Namespace) -> ExperimentReport:
+    m = a.m if a.m is not None else a.p**a.n
+    S = read_vecset(a.set) if a.set else weight_d_set(a.p, a.n, min(a.p, a.n))
+    report = exp_lift_transfer(a.p, a.d, a.n, m, S, seed=a.seed)
+    if a.set:
+        report.input_digests["S_file"] = sha256_of_file(a.set)
+    return report
+
+
+_P, _N, _SEED = ("--p", int, 2), ("--n", int, 4), ("--seed", int, 0)
+
+# Each experiment's options, as (flag, type, default[, help]), and its handler.
+# An experiment's parser accepts only its own options.
+EXPERIMENTS = {
+    "s-square": ([("--w", int, 4)], lambda a: exp_s_square(a.w)),
+    "ep-roundtrip": ([_P, _N, ("--family", str, None), _SEED],
+                     lambda a: exp_ep_roundtrip(a.p, a.n, a.family, seed=a.seed)),
+    "lift-transfer": ([_P, _N, ("--d", int, 4), ("--m", int, None),
+                       ("--set", str, None, "vector set file (lift-transfer)"), _SEED],
+                      _lift_transfer),
+    "poincare": ([_P, _N, ("--k", int, 1), ("--trials", int, 100), _SEED],
+                 lambda a: exp_poincare(a.p, a.n, a.k, a.trials, seed=a.seed)),
+    "profile-scan": ([_P, _N, ("--n-hi", int, None, "upper end of the n range (profile-scan)"),
+                      ("--family", str, "ep"), ("--k-max", int, 2), ("--r-max", int, 6)],
+                     lambda a: exp_profile_scan(
+                         a.p, a.family, (a.n, a.n if a.n_hi is None else a.n_hi),
+                         a.k_max, a.r_max)),
+    "bog-scan": ([_P, _N, ("--d", int, 4), ("--r", int, 2), ("--budget", int, 200), _SEED],
+                 lambda a: exp_bog_scan(a.p, a.d, a.n, a.r, budget=a.budget, seed=a.seed)),
+}
+
+
 # Built once per process: repeated in-process calls of main() would
 # otherwise rebuild every subparser each time.
 @functools.cache
@@ -101,53 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     _add_common(s)
 
-    s = subs.add_parser("exp", help="run a named experiment")
-    s.add_argument("name", choices=(
-        "s-square", "ep-roundtrip", "lift-transfer", "poincare", "profile-scan", "bog-scan",
-    ))
-    s.add_argument("--p", type=int, default=2)
-    s.add_argument("--n", type=int, default=4)
-    s.add_argument("--n-hi", type=int, help="upper end of the n range (profile-scan)")
-    s.add_argument("--k-max", type=int, default=2)
-    s.add_argument("--k", type=int, default=1)
-    s.add_argument("--d", type=int, default=4)
-    s.add_argument("--m", type=int)
-    s.add_argument("--w", type=int, default=4)
-    s.add_argument("--r", type=int, default=2)
-    s.add_argument("--r-max", type=int, default=6)
-    s.add_argument("--trials", type=int, default=100)
-    s.add_argument("--budget", type=int, default=200)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--family", default="ep")
-    s.add_argument("--set", dest="setfile", help="vector set file (lift-transfer)")
-    _add_common(s)
+    exp = subs.add_parser("exp", help="run a named experiment").add_subparsers(
+        dest="name", required=True)
+    for name, (options, _) in EXPERIMENTS.items():
+        s = exp.add_parser(name, allow_abbrev=False)
+        for flag, kind, default, *help_ in options:
+            s.add_argument(flag, type=kind, default=default, help=help_[0] if help_ else None)
+        _add_common(s)
 
     return parser
-
-
-def _run_exp(args: argparse.Namespace) -> ExperimentReport:
-    if args.name == "s-square":
-        return exp_s_square(args.w)
-    if args.name == "ep-roundtrip":
-        return exp_ep_roundtrip(args.p, args.n, args.family, seed=args.seed)
-    if args.name == "lift-transfer":
-        m = args.m if args.m is not None else args.p**args.n
-        if args.setfile:
-            S = read_vecset(args.setfile)
-        else:
-            S = weight_d_set(args.p, args.n, min(args.p, args.n))
-        report = exp_lift_transfer(args.p, args.d, args.n, m, S, seed=args.seed)
-        if args.setfile:
-            report.input_digests["S_file"] = sha256_of_file(args.setfile)
-        return report
-    if args.name == "poincare":
-        return exp_poincare(args.p, args.n, args.k, args.trials, seed=args.seed)
-    if args.name == "profile-scan":
-        hi = args.n_hi if args.n_hi is not None else args.n
-        return exp_profile_scan(args.p, args.family, (args.n, hi), args.k_max, args.r_max)
-    if args.name == "bog-scan":
-        return exp_bog_scan(args.p, args.d, args.n, args.r, budget=args.budget, seed=args.seed)
-    raise ValueError(f"unknown experiment {args.name!r}")
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -161,17 +155,17 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "chi":
-        if args.graph:
+        if args.graph and not (args.vertices or args.conn):
             g = read_graph(args.graph)
             digests = {"graph": sha256_of_file(args.graph)}
-        elif args.vertices and args.conn:
+        elif args.vertices and args.conn and not args.graph:
             g = build_cayley(read_vecset(args.vertices), read_vecset(args.conn))
             digests = {
                 "vertices": sha256_of_file(args.vertices),
                 "connection": sha256_of_file(args.conn),
             }
         else:
-            raise ValueError("chi needs --graph or both --vertices and --conn")
+            raise ValueError("chi needs either --graph alone or both --vertices and --conn")
         chi, coloring = chromatic_number_exact(g)
         valid = verify(coloring, g)[0] if coloring is not None else None
         doc = {
@@ -203,10 +197,8 @@ def _run(args: argparse.Namespace) -> int:
         hg = read_hypergraph(args.infile)
         report = run_bridge_roundtrip(args.p, hg, seed=args.seed)
         report.input_digests["hypergraph_file"] = sha256_of_file(args.infile)
-    elif args.command == "exp":
-        report = _run_exp(args)
-    else:
-        raise ValueError(f"unknown command {args.command!r}")
+    else:  # exp
+        report = EXPERIMENTS[args.name][1](args)
     _emit(report.to_dict(), args.out, args.format)
     return EXIT_OK if report.ok else EXIT_VALIDATION
 

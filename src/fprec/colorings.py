@@ -261,6 +261,8 @@ class Hypergraph:
     edges: frozenset[frozenset[int]]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {self.n}")
         for e in self.edges:
             if not e or not all(1 <= v <= self.n for v in e):
                 raise ValueError(f"edge {sorted(e)} not inside [1, {self.n}]")
@@ -321,7 +323,7 @@ def hypergraph_chromatic(hg: Hypergraph) -> int:
     if any(len(e) == 1 for e in hg.edges):
         raise ValueError("singleton edge makes the hypergraph uncolorable")
     if not hg.edges:
-        return 1
+        return min(hg.n, 1)
     for r in range(1, hg.n + 1):
         if find_proper_partition(hg, r) is not None:
             return r
@@ -331,7 +333,7 @@ def hypergraph_chromatic(hg: Hypergraph) -> int:
 def hypergraph_chromatic_bruteforce(hg: Hypergraph) -> int:
     """Oracle: enumerate all color assignments outright."""
     if not hg.edges:
-        return 1
+        return min(hg.n, 1)
     for r in range(1, hg.n + 1):
         for assignment in itertools.product(range(1, r + 1), repeat=hg.n):
             if _monochromatic_edge(hg, assignment) is None:

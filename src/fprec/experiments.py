@@ -335,12 +335,14 @@ def run_bridge_roundtrip(
 
 def exp_ep_roundtrip(p: int, N: int, family: str, seed: int = 0) -> ExperimentReport:
     """Bridge roundtrip on a named family: all-pairs, ap3, or gallai squares."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if family == "all-pairs":
         hg = Hypergraph.from_edge_lists(N, itertools.combinations(range(1, N + 1), 2))
     elif family == "ap3":
         hg = ap3_hypergraph(N)
     elif family == "gallai":
-        W = round(N**0.5)
+        W = math.isqrt(N)
         if W * W != N:
             raise ValueError(f"gallai family needs a square N, got {N}")
         hg = gallai_square_hypergraph(W)

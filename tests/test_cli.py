@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import re
@@ -324,6 +325,27 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["chi"] == 0 and doc["coloring"] == []
 
+    @pytest.mark.parametrize("cayley", [["--vertices"], ["--conn"], ["--vertices", "--conn"]])
+    def test_chi_rejects_both_input_modes(self, cayley, tmp_path, capsys):
+        g = tmp_path / "g.txt"
+        write_graph(Graph.from_edges(2, [(0, 1)]), g)
+        v = tmp_path / "v.txt"
+        write_vecset(VecSet.full(2, 1), v)
+        argv = ["chi", "--graph", str(g)]
+        for flag in cayley:
+            argv += [flag, str(v)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--graph alone or both --vertices and --conn" in err
+
+    def test_no_vertices_hypergraph_chi_0(self, tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_text("# N=0\n")
+        assert main(["hypergraph-chi", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["chi"] == 0
+        assert main(["bridge", "--in", str(path), "--p", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["hypergraph_chi"] == 0
+
     def test_hypergraph_chi(self, tmp_path, capsys):
         path = tmp_path / "h.txt"
         write_hypergraph(ap3_hypergraph(8), path)
@@ -406,9 +428,15 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["results"]["profile"][0]["chi"] == ">1"
 
     def test_ep_roundtrip_without_family_names_the_families(self, capsys):
-        # The exp parser's shared --family defaults to profile-scan's "ep".
+        # ep-roundtrip's --family has no default; exp_ep_roundtrip names the families.
         assert main(["exp", "ep-roundtrip"]) == 2
         assert "expected all-pairs, ap3 or gallai" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, n", [("gallai", "-4"), ("all-pairs", "-3")])
+    def test_ep_roundtrip_negative_n_exit_2(self, family, n, capsys):
+        assert main(["exp", "ep-roundtrip", "--family", family, "--n", n]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"N must be >= 1, got {n}" in err
 
     def test_lift_transfer_checks_deficiency_witnesses(self, tmp_path, monkeypatch, capsys):
         # S = {(1, 0)} is deficient at 1 (witness x_1 = 0); a witness that
@@ -506,6 +534,75 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["results"]["chi"] == 2
         assert doc["verdicts"]["components_in_trichotomy"] is True
+
+
+# Each experiment's options and their defaults, as its exp_* function is called.
+EXPERIMENT_OPTIONS = {
+    "s-square": {"--w": 4},
+    "ep-roundtrip": {"--p": 2, "--n": 4, "--family": None, "--seed": 0},
+    "lift-transfer": {"--p": 2, "--n": 4, "--d": 4, "--m": None, "--set": None, "--seed": 0},
+    "poincare": {"--p": 2, "--n": 4, "--k": 1, "--trials": 100, "--seed": 0},
+    "profile-scan": {"--p": 2, "--n": 4, "--n-hi": None, "--family": "ep", "--k-max": 2,
+                     "--r-max": 6},
+    "bog-scan": {"--p": 2, "--n": 4, "--d": 4, "--r": 2, "--budget": 200, "--seed": 0},
+}
+ALL_OPTIONS = set().union(*EXPERIMENT_OPTIONS.values())
+
+# The parameters of each bare `fprec exp NAME` that runs, recorded when every
+# experiment shared one option set.
+BARE_PARAMETERS = {
+    "s-square": {"W": 4},
+    "lift-transfer": {"p": 2, "n": 4, "d": 4, "m": 16, "seed": 0},
+    "poincare": {"p": 2, "n": 4, "k": 1, "trials": 100, "seed": 0},
+    "profile-scan": {"p": 2, "family": "ep", "n_range": [4, 4], "k_max": 2, "r_max": 6},
+    "bog-scan": {"p": 2, "n": 4, "d": 4, "r": 2, "budget": 200, "seed": 0},
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestExperimentOptions:
+    def test_option_table(self):
+        assert sum(map(len, EXPERIMENT_OPTIONS.values())) == 28
+        parsers = _subparsers(_subparsers(build_parser())["exp"])
+        assert set(parsers) == set(EXPERIMENT_OPTIONS)
+        for name, options in EXPERIMENT_OPTIONS.items():
+            flags = {f for a in parsers[name]._actions for f in a.option_strings}
+            assert flags == set(options) | {"--out", "--format", "-h", "--help"}, name
+            args = build_parser().parse_args(["exp", name])
+            for flag, default in options.items():
+                assert getattr(args, flag[2:].replace("-", "_")) == default, (name, flag)
+
+    @pytest.mark.parametrize("name", EXPERIMENT_OPTIONS)
+    def test_other_experiments_options_exit_2(self, name, capsys):
+        for flag in sorted(ALL_OPTIONS - set(EXPERIMENT_OPTIONS[name])):
+            with pytest.raises(SystemExit) as exc:
+                main(["exp", name, flag, "3"])
+            assert exc.value.code == 2, flag
+            assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", EXPERIMENT_OPTIONS)
+    def test_no_abbreviated_options(self, name, capsys):
+        # A prefix of an option is not that option: profile-scan --k is not --k-max.
+        for flag in EXPERIMENT_OPTIONS[name]:
+            for prefix in (flag[:i] for i in range(3, len(flag))):
+                if prefix not in ALL_OPTIONS:
+                    with pytest.raises(SystemExit) as exc:
+                        main(["exp", name, prefix, "3"])
+                    assert exc.value.code == 2, prefix
+
+    def test_profile_scan_k_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["exp", "profile-scan", "--n", "3", "--k", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", BARE_PARAMETERS)
+    def test_bare_experiment_parameters(self, name, capsys):
+        assert main(["exp", name]) == 0
+        assert json.loads(capsys.readouterr().out)["parameters"] == BARE_PARAMETERS[name]
 
 
 # sha256 of the W=5 square-graph outputs, recorded from the pair-loop Cayley

@@ -334,6 +334,16 @@ class TestHypergraphChromatic:
     def test_no_edges(self):
         assert hypergraph_chromatic(Hypergraph.from_edge_lists(3, [])) == 1
 
+    def test_no_vertices_needs_no_color(self):
+        # The empty partition colors the vertex-free hypergraph, as chi does
+        # the vertex-free graph.
+        hg = Hypergraph.from_edge_lists(0, [])
+        assert hypergraph_chromatic(hg) == hypergraph_chromatic_bruteforce(hg) == 0
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match="vertex count must be >= 0, got -4"):
+            Hypergraph.from_edge_lists(-4, [])
+
     def test_single_pair(self):
         assert hypergraph_chromatic(Hypergraph.from_edge_lists(2, [{1, 2}])) == 2
 
