@@ -15,6 +15,7 @@ from .fpgroup import (
     Subgroup,
     annihilator_level,
     dual_rows,
+    encode,
     enum_codim_subgroups,
     scan_avoiding,
 )
@@ -83,15 +84,16 @@ def bohr_deficiency(S: VecSet, k_max: int, set_id: str = "") -> DeficiencyReport
 def meets_all_subgroups_oracle(S: VecSet, k: int) -> bool:
     """Independent oracle: materialize every codim-k subgroup as an element list.
 
-    Uses kernel bases and explicit spans rather than annihilator products, so
-    it shares no verdict-relevant code path with bohr_deficiency.
+    Uses kernel bases and explicit spans, on packed codes, rather than
+    annihilator products, so it shares no verdict-relevant code path with
+    bohr_deficiency.
     """
     if k > S.n:
         raise ValueError(f"k={k} exceeds ambient dimension {S.n}")
     if S.p ** S.n > 2**14:
         raise ResourceGuardError("oracle requires p^n <= 2^14 for exhaustive listing")
-    S_set = S.coord_tuples()
+    S_codes = {encode(x.coords) for x in S.elements}
     for H in enum_codim_subgroups(S.p, S.n, k):
-        if not any(x.coords in S_set for x in H.elements()):
+        if S_codes.isdisjoint(H.codes()):
             return False
     return True

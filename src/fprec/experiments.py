@@ -144,6 +144,11 @@ def exp_s_square(W: int) -> ExperimentReport:
     )
 
 
+# Seeded random partitions drawn by bridge direction (a) when [1, N] has more
+# than 5,000 set partitions.
+_PARTITION_SAMPLES = 500
+
+
 def _bell(n: int) -> int:
     row = [1]
     for _ in range(n):
@@ -241,7 +246,6 @@ def run_bridge_roundtrip(
     hg: Hypergraph,
     *,
     seed: int = 0,
-    partition_samples: int = 500,
     subgroup_budget: int = 100_000,
     k_max: int | None = None,
 ) -> ExperimentReport:
@@ -283,10 +287,10 @@ def run_bridge_roundtrip(
         sampling = "exhaustive"
     else:
         rng = random.Random(seed)
-        partitions_tested = partition_samples
+        partitions_tested = _PARTITION_SAMPLES
         cap = min(N, 4)
         candidates = [
-            [rng.randrange(1, cap + 1) for _ in range(N)] for _ in range(partition_samples)
+            [rng.randrange(1, cap + 1) for _ in range(N)] for _ in range(_PARTITION_SAMPLES)
         ]
         sampling = "sampled"
     labels = np.array(candidates, dtype=np.int64).reshape(len(candidates), N)
@@ -347,7 +351,8 @@ def exp_ep_roundtrip(p: int, N: int, family: str, seed: int = 0) -> ExperimentRe
             raise ValueError(f"gallai family needs a square N, got {N}")
         hg = gallai_square_hypergraph(W)
     else:
-        raise ValueError(f"unknown family {family!r}; expected all-pairs, ap3 or gallai")
+        named = "ep-roundtrip needs --family" if family is None else f"unknown family {family!r}"
+        raise ValueError(f"{named}; expected all-pairs, ap3 or gallai")
     report = run_bridge_roundtrip(p, hg, seed=seed)
     report.parameters["family"] = family
     report.parameters["N"] = N

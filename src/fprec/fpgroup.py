@@ -13,7 +13,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -145,30 +145,6 @@ class FpMatrix:
         for r in rows:
             rows[0]._check_compat(r)
         return cls(p, tuple(r.coords for r in rows))
-
-
-def linear_combination(
-    coeffs: Sequence[int],
-    vecs: Sequence[FpVec],
-    *,
-    p: int | None = None,
-    n: int | None = None,
-) -> FpVec:
-    """Sum of coeffs[i] * vecs[i] mod p.  Empty input needs declared (p, n)."""
-    if len(coeffs) != len(vecs):
-        raise ValueError("coeffs and vecs must have equal length")
-    if not vecs:
-        if p is None or n is None:
-            raise ValueError("empty linear combination needs declared p and n")
-        return FpVec.zero(p, n)
-    head = vecs[0]
-    for v in vecs:
-        head._check_compat(v)
-    acc = [0] * head.n
-    for c, v in zip(coeffs, vecs):
-        for i, x in enumerate(v.coords):
-            acc[i] = (acc[i] + c * x) % head.p
-    return FpVec(head.p, tuple(acc))
 
 
 def pairing(x: FpVec, xi: DualVec) -> int:
@@ -313,20 +289,18 @@ def swar_constants(p: int, n: int) -> tuple[int, int, int]:
     )
 
 
-def _is_full_rank_rref(M: FpMatrix) -> bool:
-    # Structural check: pivots are 1, strictly right-moving, alone in their column.
-    last_pivot = -1
-    pivots = []
-    for row in M.entries:
-        pc = next((j for j, c in enumerate(row) if c != 0), None)
-        if pc is None or pc <= last_pivot or row[pc] != 1:
-            return False
-        pivots.append(pc)
-        last_pivot = pc
-    for i, pc in enumerate(pivots):
-        if any(M.entries[r][pc] != 0 for r in range(M.rows) if r != i):
-            return False
-    return True
+def _span_codes(basis: Sequence[FpVec], p: int, n: int) -> Iterator[int]:
+    """The packed codes of the combinations sum c_i basis[i] in F_p^n, lazily,
+    in lex order of (c_1, ..., c_d)."""
+    K, H, _ = swar_constants(p, n)
+
+    def add(a: int, b: int) -> int:
+        t = a + b
+        return t - (((t + K) & H) >> 7) * p
+
+    # The multiples 0, v, 2v, ..., (p - 1)v of each basis vector v.
+    multiples = [itertools.accumulate([encode(v.coords)] * (p - 1), add, initial=0) for v in basis]
+    return (reduce(add, ms, 0) for ms in itertools.product(*multiples))
 
 
 @dataclass(frozen=True)
@@ -347,7 +321,8 @@ class Subgroup:
             raise ValueError("annihilator modulus mismatch")
         if A.rows and A.cols != self.n:
             raise ValueError("annihilator width differs from ambient dimension")
-        if not _is_full_rank_rref(A):
+        # A full-rank RREF matrix is its own reduced form, with no zero row.
+        if rref_rank(A) != (A, A.rows):
             raise ValueError("annihilator must be full-rank and in RREF; use from_dual_vectors")
 
     @classmethod
@@ -375,15 +350,20 @@ class Subgroup:
             for row in self.annihilator.entries
         )
 
-    def elements(self) -> Iterator[FpVec]:
-        """All p^(n-k) elements, deterministically ordered."""
+    def codes(self) -> Iterator[int]:
+        """The packed codes of all p^(n-k) elements, in lex order of their
+        coefficients over kernel_basis, or over the standard basis when k = 0."""
         check_order(self.p, self.n - self.codim)
-        if self.codim == 0:
-            yield from all_vectors(self.p, self.n)
-            return
-        basis = kernel_basis(self.annihilator)
-        for coeffs in itertools.product(range(self.p), repeat=len(basis)):
-            yield linear_combination(coeffs, basis, p=self.p, n=self.n)
+        if self.codim:
+            basis = kernel_basis(self.annihilator)
+        else:
+            basis = [FpVec.basis(self.p, self.n, j) for j in range(1, self.n + 1)]
+        return _span_codes(basis, self.p, self.n)
+
+    def elements(self) -> Iterator[FpVec]:
+        """All p^(n-k) elements, in the order of codes()."""
+        for c in self.codes():
+            yield FpVec(self.p, decode(c, self.n))
 
 
 # Entries per chunk of an array pass: small enough to stay in cache, large

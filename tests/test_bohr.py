@@ -10,7 +10,7 @@ from fprec.bohr import (
 )
 from fprec.colorings import verify
 from fprec.families import weight_d_set
-from fprec.fpgroup import FpVec, ResourceGuardError, enum_codim_subgroups
+from fprec.fpgroup import FpVec, ResourceGuardError, all_vectors, enum_codim_subgroups
 from fprec.setops import VecSet
 
 
@@ -145,3 +145,19 @@ class TestOracle:
     def test_scale_guard(self):
         with pytest.raises(ResourceGuardError):
             meets_all_subgroups_oracle(VecSet.empty(2, 20), 1)
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (5, 2), (7, 2)])
+    def test_agrees_with_contains_filter(self, p, n):
+        # Each subgroup's elements by filtering F_p^n through Subgroup.contains.
+        universe = list(all_vectors(p, n))
+        levels = [
+            [{x.coords for x in universe if H.contains(x)} for H in enum_codim_subgroups(p, n, k)]
+            for k in range(n + 1)
+        ]
+        rng = random.Random(p**n)
+        for _ in range(8):
+            S = random_vecset(rng, p, n, rng.randrange(0, min(p**n, 12) + 1))
+            points = S.coord_tuples()
+            for k, subgroups in enumerate(levels):
+                meets = all(not H.isdisjoint(points) for H in subgroups)
+                assert meets_all_subgroups_oracle(S, k) == meets

@@ -432,6 +432,10 @@ class TestCli:
         assert main(["exp", "ep-roundtrip"]) == 2
         assert "expected all-pairs, ap3 or gallai" in capsys.readouterr().err
 
+    def test_ep_roundtrip_without_family_names_the_option(self, capsys):
+        assert main(["exp", "ep-roundtrip"]) == 2
+        assert "error: ep-roundtrip needs --family;" in capsys.readouterr().err
+
     @pytest.mark.parametrize("family, n", [("gallai", "-4"), ("all-pairs", "-3")])
     def test_ep_roundtrip_negative_n_exit_2(self, family, n, capsys):
         assert main(["exp", "ep-roundtrip", "--family", family, "--n", n]) == 2

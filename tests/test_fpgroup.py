@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -28,7 +29,6 @@ from fprec.fpgroup import (
     hom_apply,
     hom_from_basis_images,
     kernel_basis,
-    linear_combination,
     pairing,
     rref_rank,
     scan_avoiding,
@@ -38,23 +38,6 @@ from fprec.fpgroup import (
 
 def vec(p, *coords):
     return FpVec(p, coords)
-
-
-class TestLinearCombination:
-    def test_mod2_sum(self):
-        assert linear_combination([1, 1], [vec(2, 1, 0), vec(2, 1, 1)]) == vec(2, 0, 1)
-
-    def test_empty_sum_is_identity(self):
-        assert linear_combination([], [], p=3, n=2) == FpVec.zero(3, 2)
-
-    def test_mod3(self):
-        assert linear_combination([2, 2], [vec(3, 1, 0), vec(3, 0, 1)]) == vec(3, 2, 2)
-
-    def test_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            linear_combination([1, 1], [vec(2, 1, 0), vec(3, 1, 0)])
-        with pytest.raises(ValueError):
-            linear_combination([1], [vec(2, 1), vec(2, 0)])
 
 
 class TestPairing:
@@ -188,8 +171,44 @@ class TestSubgroup:
         assert H1 == H2
 
     def test_non_rref_annihilator_rejected(self):
-        with pytest.raises(ValueError):
-            Subgroup(2, 2, FpMatrix(2, ((0, 1), (1, 0))))
+        for p, n, rows in [
+            (2, 2, ((0, 1), (1, 0))),  # rows out of pivot order
+            (3, 3, ((0, 0, 1), (1, 2, 0))),  # rows out of pivot order
+            (3, 2, ((2, 1),)),  # a pivot that is not 1
+            (2, 3, ((1, 1, 0), (0, 1, 1))),  # a pivot column that is not cleared
+            (2, 2, ((1, 0), (0, 0))),  # a zero row
+        ]:
+            with pytest.raises(ValueError):
+                Subgroup(p, n, FpMatrix(p, rows))
+
+    @pytest.mark.parametrize(
+        "p,n,k",
+        [(2, n, k) for n in (1, 2, 3) for k in range(4)]
+        + [(3, n, k) for n in (1, 2, 3) for k in range(3)],
+    )
+    def test_accepts_exactly_the_canonical_annihilators(self, p, n, k):
+        canonical = set()
+        if k <= n:
+            canonical = {tuple(map(tuple, a)) for a in annihilator_array(p, n, k).tolist()}
+        for entries in itertools.product(range(p), repeat=k * n):
+            rows = tuple(entries[i * n : (i + 1) * n] for i in range(k))
+            if rows in canonical:
+                assert Subgroup(p, n, FpMatrix(p, rows)).codim == k
+            else:
+                with pytest.raises(ValueError):
+                    Subgroup(p, n, FpMatrix(p, rows))
+
+    # sha256 of the reprs of the elements of every subgroup of these groups,
+    # codimension 0 to n, joined in enumeration and element order.
+    ELEMENTS_DIGEST = "521257c571ed6398b0321fc93148c3ce4228fa0d503ffd2737d22c58977e69fa"
+
+    def test_element_order_is_pinned(self):
+        h = hashlib.sha256()
+        for p, n in [(2, 5), (3, 3), (5, 2), (2, 1), (7, 2)]:
+            for k in range(n + 1):
+                for H in enum_codim_subgroups(p, n, k):
+                    h.update("".join(map(repr, H.elements())).encode())
+        assert h.hexdigest() == self.ELEMENTS_DIGEST
 
 
 class TestEnumeration:
