@@ -4,6 +4,7 @@ and the constructive bridges between colorings and avoiding subgroups.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -118,18 +119,25 @@ def _dsatur_colorings(g: Graph, cap: int) -> Iterator[Coloring]:
     leaf is the first leaf of the search with that cap from the root.
     """
     n = g.n
+    by_rank = sorted(range(n), key=lambda v: (len(g.adj[v]), -v))
     rank = [0] * n
-    for i, v in enumerate(sorted(range(n), key=lambda v: (len(g.adj[v]), -v))):
+    for i, v in enumerate(by_rank):
         rank[v] = i
     # key[v] = |sat[v]| * n + rank[v] for an uncolored vertex, -1 once colored:
-    # the uncolored vertex to branch on is the one with the largest key.
+    # the uncolored vertex to branch on is the one with the largest key.  A
+    # key names its vertex, by_rank[key % n].  The heap holds -k for every key
+    # k a vertex has had; an entry is live while k is still its vertex's key,
+    # and dead entries are popped when they reach the top.
     key = rank[:]
+    heap = [-k for k in key]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     sat: list[set[int]] = [set() for _ in range(n)]
     colors = [0] * n
     # One frame per colored vertex: the vertex, the number of colors in use
     # before it, and its neighbors whose saturation its color raised.
     stack: list[tuple[int, int, list[int]]] = []
-    v, used = key.index(max(key)), 0
+    v, used = by_rank[-1], 0
     while True:
         c = colors[v] + 1
         top = min(used + 1, cap)
@@ -141,11 +149,13 @@ def _dsatur_colorings(g: Graph, cap: int) -> Iterator[Coloring]:
             for u in touched:
                 sat[u].add(c)
                 key[u] += n
+                push(heap, -key[u])
             stack.append((v, used, touched))
             used = max(used, c)
-            m = max(key)
-            if m >= 0:
-                v = key.index(m)
+            while heap and key[by_rank[-heap[0] % n]] != -heap[0]:
+                pop(heap)
+            if heap:
+                v = by_rank[-heap[0] % n]
                 colors[v] = 0
                 continue
             yield tuple(colors)
@@ -158,9 +168,14 @@ def _dsatur_colorings(g: Graph, cap: int) -> Iterator[Coloring]:
             for u in touched:
                 sat[u].discard(colors[v])
                 key[u] -= n
+                push(heap, -key[u])
             key[v] = len(sat[v]) * n + rank[v]
+            push(heap, -key[v])
             if used <= cap:
                 break
+        if len(heap) > 4 * n:  # drop dead entries, so they cannot pile up
+            heap = [-k for k in key if k >= 0]
+            heapq.heapify(heap)
 
 
 def chromatic_number_exact(

@@ -51,7 +51,7 @@ from .fpgroup import (
     hom_from_basis_images,
     scan_avoiding,
 )
-from .setops import VecSet, difference_codes, preimage_intersect, sumset_codes
+from .setops import VecSet, distinct_differences, distinct_sumsets, preimage_intersect
 
 SCHEMA_VERSION = 1
 
@@ -435,21 +435,17 @@ def exp_poincare(p: int, n: int, k: int, trials: int, seed: int = 0) -> Experime
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _guard(p**n <= 2**14, f"p^n = {p}^{n} exceeds the sampling bound 2^14")
-    universe = all_codes(p, n)
+    U = decode_array(all_codes(p, n), n)
     rows = dual_rows(p, n)
     level = annihilator_level(p, n, k)
     rng = random.Random(seed)
 
     def run_arm(size: int) -> int:
-        # One scan for all trials: trial t fails when some subgroup misses its
-        # difference set, point set t of the scan.
-        sets = []
-        for _ in range(trials):
-            D = difference_codes(rng.sample(universe, size), p, n)
-            D.discard(0)  # distinct differences only
-            sets.append(decode_array(D, n))
+        # One scan for all trials: trial t fails when some subgroup misses the
+        # differences of its distinct points, point set t of the scan.
+        picks = [rng.sample(range(len(U)), size) for _ in range(trials)]
         failed = np.zeros(trials, dtype=bool)
-        for _, hits in scan_avoiding(rows, [level], sets, p):
+        for _, hits in scan_avoiding(rows, [level], distinct_differences(U[picks], p), p):
             failed[hits % trials] = True
         return int(failed.sum())
 
@@ -539,6 +535,10 @@ def exp_profile_scan(
     )
 
 
+# Memory for one block of bog-scan covers: their sumset layers and scan points.
+_BOG_BLOCK_BYTES = 4 * 2**20
+
+
 def exp_bog_scan(
     p: int,
     d: int,
@@ -563,21 +563,31 @@ def exp_bog_scan(
     # up to p^n sums; 2^18 of that work keeps a cover well under a second.
     work = p ** (2 * n) * d
     _guard(work <= 2**18, f"(p^n)^2 * d = {work} exceeds the sumset bound 2^18")
-    universe = all_codes(p, n)
-    U = decode_array(universe, n)
-    size = len(universe)
+    U = decode_array(all_codes(p, n), n)
+    size = len(U)
     c_max = _feasible_k_max(p, n, budget=20_000)
     rows = dual_rows(p, n)
     levels = [annihilator_level(p, n, c) for c in range(c_max + 1)]
 
-    def least_codim(cells: list[list[int]]) -> int | None:
+    def least_codims(labels: np.ndarray) -> np.ndarray:
+        # One row per nonempty (cover, cell): each cover's distinct labels.
+        ordered = np.sort(labels, axis=1)
+        first = np.ones(ordered.shape, dtype=bool)
+        first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        owner = np.nonzero(first)[0]
+        sums = distinct_sumsets(labels[owner] == ordered[first][:, None], p, n, d)
         # A subgroup lies inside a sumset exactly when it misses the sumset's
         # complement in F_p^n; a sumset without 0 holds no subgroup.  Levels
-        # are scanned by codimension, so the first hit has the least one.
-        sums = [sumset_codes(cell, p, n, d) for cell in cells if cell]
-        outside = [U[[c not in T for c in universe]] for T in sums if 0 in T]
-        hit = next(scan_avoiding(rows, levels, outside, p), None)
-        return None if hit is None else hit[0].shape[1]
+        # are scanned by codimension, so a cover's first hit has its least one.
+        kept = sums[:, 0]
+        owner = owner[kept]
+        codims = np.full(len(labels), -1)
+        for level, hits in scan_avoiding(rows, levels, [U[~T] for T in sums[kept]], p):
+            g = owner[hits % len(owner)]
+            codims[g[codims[g] < 0]] = level.shape[1]
+            if codims[owner].min() >= 0:
+                break
+        return codims
 
     if r**size <= budget:
         assignments = itertools.product(range(r), repeat=size)
@@ -588,13 +598,19 @@ def exp_bog_scan(
             tuple(rng.randrange(r) for _ in range(size)) for _ in range(budget)
         )
         mode = "random"
+    # Covers run in blocks of about _BOG_BLOCK_BYTES, so memory does not grow
+    # with the budget.  Per (cell, point) of a cover: the d + 1 sumset layers
+    # and the DP's two d-layer temporaries, the outside point (n bytes) and
+    # its float32 column in the scan (4(n + 1)), a bit of Z per dual row (at
+    # most size / 8 bytes) and the labels.
+    cells = min(r, size)
+    block = max(1, _BOG_BLOCK_BYTES // (cells * size * (3 * d + 5 * n + size // 8 + 8)))
     records = []
-    for assignment in assignments:
-        cells = [[v for v, a in zip(universe, assignment) if a == j] for j in range(r)]
-        records.append(least_codim(cells))
+    while chunk := list(itertools.islice(assignments, block)):
+        records.extend(least_codims(np.array(chunk)))
     histogram: dict[str, int] = {}
     for c in records:
-        key = "none" if c is None else str(c)
+        key = "none" if c < 0 else str(c)
         histogram[key] = histogram.get(key, 0) + 1
     results = {
         "mode": mode,

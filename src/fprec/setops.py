@@ -1,9 +1,10 @@
 """Set operators on finite subsets of F_p^n.
 
 Difference sets, d-fold sumsets with distinct summands, and
-preimage-intersection constructions.  All outputs are canonically sorted and duplicate-free.
-The difference and sumset kernels work on sets of packed integer codes
-(fpgroup.encode); difference_set and dfold_distinct_sumset wrap them for VecSet.
+preimage-intersection constructions.  The two kernels, distinct_differences
+and distinct_sumsets, take numpy arrays of many point sets at once;
+difference_set and dfold_distinct_sumset pass them one VecSet, and every
+VecSet is canonically sorted and duplicate-free.
 """
 
 from __future__ import annotations
@@ -11,17 +12,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from typing import Iterator
 
-from .fpgroup import (
-    FpMatrix,
-    FpVec,
-    all_vectors,
-    decode,
-    encode,
-    hom_apply,
-    swar_constants,
-)
+import numpy as np
+
+from .fpgroup import FpMatrix, FpVec, all_vectors, check_order, chunk_slices, hom_apply
 
 
 @dataclass(frozen=True)
@@ -33,7 +28,7 @@ class VecSet:
     elements: tuple[FpVec, ...]
 
     def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
+        elems = tuple(sorted(set(self.elements), key=lambda v: v.coords))
         for v in elems:
             if v.p != self.p or v.n != self.n:
                 raise ValueError(
@@ -66,56 +61,93 @@ class VecSet:
         return {v.coords for v in self.elements}
 
 
-def difference_codes(codes: Collection[int], p: int, n: int) -> set[int]:
-    """{a - b : a, b in codes} on packed codes of F_p^n (fpgroup.encode).
+def distinct_differences(P: np.ndarray, p: int) -> np.ndarray:
+    """The differences a - b of points at distinct positions of each point set.
 
-    Every byte of a + P - b lies in [1, 2p - 1], so there is no borrow
-    between bytes and one SWAR step reduces the difference mod p.
+    P is a (T, m, n) array of T sets of m points of F_p^n; the result is the
+    (T, m(m - 1), n) uint8 array of P[t, a] - P[t, b] for a != b, in row-major
+    order of (a, b).  Equal points at distinct positions give 0.
     """
-    K, H, P = swar_constants(p, n)
-    return {
-        (t := a + P - b) - (((t + K) & H) >> 7) * p for a in codes for b in codes
-    }
+    P = np.asarray(P, dtype=np.uint8)
+    m = P.shape[1]
+    # Every entry of a + p - b lies in [1, 2p - 1] <= 61, so uint8 holds it.
+    D = (P[:, :, None] + np.uint8(p) - P[:, None]) % np.uint8(p)
+    return D[:, ~np.eye(m, dtype=bool)]
 
 
-def sumset_codes(codes: Iterable[int], p: int, n: int, d: int) -> set[int]:
-    """Sums of d mutually distinct elements of a set of packed codes of F_p^n.
+def _lex_weights(p: int, n: int) -> np.ndarray:
+    return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
-    A layered dynamic program over achievable sums, so it stays feasible when
-    C(|codes|, d) is large.
+
+def _lex_digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
+    """The coordinates of lex indices of F_p^n, one uint8 row each."""
+    return (np.asarray(idx, dtype=np.int64)[:, None] // _lex_weights(p, n) % p).astype(np.uint8)
+
+
+def _minus_index(X: np.ndarray, p: int) -> np.ndarray:
+    """Row i: the lex index of v - X[i] for every v of F_p^n in lex order,
+    built one coordinate at a time, most significant first."""
+    idx = np.zeros((len(X), 1), dtype=np.intp)
+    digits = np.arange(p, dtype=np.intp)
+    for col in np.asarray(X, dtype=np.intp).T:
+        idx = (idx[:, :, None] * p + (digits - col[:, None, None]) % p).reshape(len(X), -1)
+    return idx
+
+
+def distinct_sumsets(member: np.ndarray, p: int, n: int, d: int) -> np.ndarray:
+    """Sums of d mutually distinct elements of many subsets of F_p^n at once.
+
+    member is a (B, p^n) boolean array, row b marking a subset by lex index
+    (all_codes order); row b of the result marks that subset's d-fold
+    distinct sumset.  A layered dynamic program over the elements x of the
+    union: layer j marks the sums of j distinct elements among those seen so
+    far, and x moves layer j - 1, shifted by x, into layer j of every row
+    that holds x.  All layers move at once from their values before x, which
+    is the j = d..1 order of the one-set DP.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    K, H, _ = swar_constants(p, n)
-    # layers[j] = sums of j distinct elements among the prefix processed so far
-    layers: list[set[int]] = [{0}] + [set() for _ in range(d)]
-    for a in codes:
-        for j in range(d, 0, -1):
-            layers[j].update({(t := s + a) - (((t + K) & H) >> 7) * p for s in layers[j - 1]})
-    return layers[d]
+    member = np.asarray(member, dtype=bool)
+    xs = np.flatnonzero(member.any(axis=0))
+    if d > len(xs):
+        return np.zeros_like(member)  # fewer than d elements in every row
+    L = np.zeros((d + 1, *member.shape), dtype=bool)
+    L[0, :, 0] = True
+    for sl in chunk_slices(len(xs), member.shape[1]):
+        minus = _minus_index(_lex_digits(xs[sl], p, n), p)
+        for t, x in enumerate(xs[sl], start=sl.start):
+            j = min(d, t + 1)
+            L[1 : j + 1] |= L[:j][:, :, minus[t - sl.start]] & member[:, x, None]
+    return L[d]
 
 
-def _codes(A: VecSet) -> list[int]:
-    return [encode(v.coords) for v in A.elements]
+def _coords(A: VecSet) -> np.ndarray:
+    return np.array([v.coords for v in A.elements], dtype=np.uint8).reshape(len(A), A.n)
 
 
-def _from_codes(p: int, n: int, codes: Iterable[int]) -> VecSet:
-    return VecSet(p, n, tuple(FpVec(p, decode(c, n)) for c in codes))
+def _from_coords(p: int, n: int, rows: np.ndarray) -> VecSet:
+    return VecSet(p, n, tuple(FpVec(p, tuple(r)) for r in rows.tolist()))
 
 
 def difference_set(A: VecSet, distinct_only: bool = False) -> VecSet:
-    """{a - a' : a, a' in A}; with distinct_only, only pairs a != a'."""
-    D = difference_codes(_codes(A), A.p, A.n)
-    if distinct_only:
-        D.discard(0)  # a - a' = 0 exactly when a = a'
-    return _from_codes(A.p, A.n, D)
+    """{a - a' : a, a' in A}; with distinct_only, only pairs a != a'.
+    One set through distinct_differences."""
+    check_order(A.p, A.n)
+    D = distinct_differences(_coords(A)[None], A.p)[0]
+    if not distinct_only and len(A):
+        D = np.vstack([D, np.zeros((1, A.n), dtype=np.uint8)])  # a - a = 0
+    return _from_coords(A.p, A.n, D)
 
 
 def dfold_distinct_sumset(A: VecSet, d: int) -> VecSet:
-    """Sums of d mutually distinct elements of A, by sumset_codes;
-    dfold_distinct_sumset_bruteforce is the reference implementation and the
-    two must agree exactly."""
-    return _from_codes(A.p, A.n, sumset_codes(_codes(A), A.p, A.n, d))
+    """Sums of d mutually distinct elements of A: one set through
+    distinct_sumsets.  dfold_distinct_sumset_bruteforce is the reference
+    implementation and the two must agree exactly."""
+    check_order(A.p, A.n)
+    member = np.zeros((1, A.p**A.n), dtype=bool)
+    member[0, _coords(A).astype(np.int64) @ _lex_weights(A.p, A.n)] = True
+    sums = distinct_sumsets(member, A.p, A.n, d)[0]
+    return _from_coords(A.p, A.n, _lex_digits(np.flatnonzero(sums), A.p, A.n))
 
 
 def dfold_distinct_sumset_bruteforce(A: VecSet, d: int) -> VecSet:

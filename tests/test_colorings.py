@@ -21,7 +21,7 @@ from fprec.colorings import (
     proper_partitions,
     verify,
 )
-from fprec.colorings import _greedy_clique
+from fprec.colorings import _dsatur_colorings, _greedy_clique
 from fprec.families import (
     ap3_hypergraph,
     e_of,
@@ -269,7 +269,33 @@ def chromatic_reference(g, max_colors=None):
     return best, best_coloring
 
 
+def leaf_sequence_reference(g, cap):
+    """The leaves _dsatur_colorings(g, cap) should yield: the first coloring
+    of the search with cap colors from the root, then the first with one
+    color fewer than the last leaf, until none exists."""
+    leaves = []
+    while (coloring := _find_coloring_reference(g, cap)) is not None:
+        leaves.append(coloring)
+        cap = max(coloring) - 1
+    return leaves
+
+
 class TestChromaticMatchesReference:
+    def test_leaf_sequence_matches_reference(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            g = random_graph(rng, rng.randrange(1, 13), density=rng.random())
+            for cap in (g.n, 3):
+                assert list(_dsatur_colorings(g, cap)) == leaf_sequence_reference(g, cap)
+        g = build_cayley(VecSet.full(2, 5), weight_d_set(2, 5, 3)).graph
+        leaves = list(_dsatur_colorings(g, g.n))
+        assert leaves[0] == _dsatur_reference(g)
+        assert leaves == leaf_sequence_reference(g, g.n)
+
+    def test_edgeless_20000_vertices(self):
+        g = Graph.from_edges(20_000, [])
+        assert chromatic_number_exact(g) == (1, (1,) * 20_000)
+
     def test_random_graphs(self):
         rng = random.Random(53)
         for _ in range(1000):

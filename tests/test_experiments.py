@@ -33,7 +33,7 @@ from fprec.families import (
     gallai_square_hypergraph,
     weight_d_set,
 )
-from fprec import fpgroup
+from fprec import experiments, fpgroup
 from fprec.fpgroup import (
     FpMatrix,
     FpVec,
@@ -457,6 +457,32 @@ class TestBogScan:
         c_max = report.results["c_max_probed"]
         expect = bog_scan_reference(p, d, n, r, budget, seed, c_max)
         assert report.results["least_codim_histogram"] == expect
+
+
+    @pytest.fixture
+    def scan_calls(self, monkeypatch):
+        calls = []
+
+        def counted_scan(*args):
+            calls.append(args)
+            return scan_avoiding(*args)
+
+        monkeypatch.setattr(experiments, "scan_avoiding", counted_scan)
+        return calls
+
+    # A cap of 1 byte runs one cover per block; 15,000 bytes runs 7 covers of
+    # F_2^4 in 3 cells with d = 4 per block, so 20 covers take 3 blocks.
+    @pytest.mark.parametrize("cap", [1, 15_000])
+    def test_blocks_of_covers_match_reference(self, monkeypatch, scan_calls, cap):
+        monkeypatch.setattr(experiments, "_BOG_BLOCK_BYTES", cap)
+        report = exp_bog_scan(2, 4, 4, 3, budget=20, seed=4)
+        assert len(scan_calls) == (20 if cap == 1 else 3)
+        expect = bog_scan_reference(2, 4, 4, 3, 20, 4, report.results["c_max_probed"])
+        assert report.results["least_codim_histogram"] == expect
+
+    def test_one_scan_per_block(self, scan_calls):
+        exp_bog_scan(2, 4, 5, 2, budget=10, seed=5)
+        assert len(scan_calls) == 1
 
 
 # sha256 of the JSON reports, recorded from the drivers that built a VecSet

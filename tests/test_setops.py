@@ -1,19 +1,20 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fprec.fpgroup import FpMatrix, FpVec, decode, encode, hom_apply, hom_from_basis_images
+from fprec.fpgroup import FpMatrix, FpVec, ResourceGuardError, hom_apply, hom_from_basis_images
 from fprec.setops import (
     VecSet,
     dfold_distinct_sumset,
     dfold_distinct_sumset_bruteforce,
-    difference_codes,
     difference_set,
+    distinct_differences,
+    distinct_sumsets,
     preimage_intersect,
-    sumset_codes,
 )
 
 
@@ -92,64 +93,96 @@ class TestDfoldSumset:
 
 
 @st.composite
-def small_vecset(draw):
-    """A set of at most 8 vectors of F_p^n, n <= 8, empty and singleton sets included."""
+def small_vecsets(draw):
+    """One to three sets of at most 8 vectors of one F_p^n, n <= 8 and
+    p^n <= 2^16, empty and singleton sets included."""
     p = draw(st.sampled_from([2, 3, 5, 7, 31]))
-    n = draw(st.integers(1, 8))
-    coords = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=8))
-    return vs(p, n, *coords)
+    n = draw(st.integers(1, max(k for k in range(1, 9) if p**k <= 2**16)))
+    point = st.tuples(*[st.integers(0, p - 1)] * n)
+    return [vs(p, n, *draw(st.lists(point, max_size=8))) for _ in range(draw(st.integers(1, 3)))]
 
 
-def codes_of(A):
-    return {encode(v.coords) for v in A}
+def coords_of(A):
+    return np.array([v.coords for v in A], dtype=np.uint8).reshape(len(A), A.n)
 
 
-def vectors_of(codes, p, n):
-    return {FpVec(p, decode(c, n)) for c in codes}
+def member_rows(sets):
+    p, n = sets[0].p, sets[0].n
+    member = np.zeros((len(sets), p**n), dtype=bool)
+    for b, A in enumerate(sets):
+        for v in A:
+            member[b, sum(c * p ** (n - 1 - i) for i, c in enumerate(v.coords))] = True
+    return member
+
+
+def vectors_of(row, p, n):
+    """The vectors a boolean row over F_p^n marks, in lex order."""
+    return {FpVec(p, c) for c, hit in zip(itertools.product(range(p), repeat=n), row) if hit}
 
 
 class TestCodeKernels:
-    """The kernels on packed codes against the FpVec definitions."""
+    """The two array kernels against the FpVec definitions."""
 
-    @given(small_vecset(), st.booleans())
+    @given(small_vecsets(), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_difference_codes_match_fpvec_subtraction(self, A, distinct_only):
-        expect = {a - b for a in A for b in A if not (distinct_only and a == b)}
-        D = difference_codes(codes_of(A), A.p, A.n)
-        if distinct_only:
-            D.discard(0)
-        assert vectors_of(D, A.p, A.n) == expect
-        assert set(difference_set(A, distinct_only=distinct_only)) == expect
+    def test_distinct_differences_match_fpvec_subtraction(self, sets, distinct_only):
+        # Sets of one size stack into one batch; positions stand in for points.
+        m = min(len(A) for A in sets)
+        P = np.stack([coords_of(A)[:m] for A in sets])
+        D = distinct_differences(P, sets[0].p)
+        assert D.shape == (len(sets), m * (m - 1), sets[0].n) and D.dtype == np.uint8
+        for A, rows in zip(sets, D):
+            E = A.elements[:m]
+            assert {FpVec(A.p, tuple(r)) for r in rows.tolist()} == {
+                a - b for a in E for b in E if a != b}
+        for A in sets:
+            expect = {a - b for a in A for b in A if not (distinct_only and a == b)}
+            assert set(difference_set(A, distinct_only=distinct_only)) == expect
 
-    @given(small_vecset(), st.integers(1, 5))
+    @given(small_vecsets(), st.integers(1, 5))
     @settings(max_examples=300, deadline=None)
-    def test_sumset_codes_match_bruteforce(self, A, d):
-        expect = set(dfold_distinct_sumset_bruteforce(A, d))
-        assert vectors_of(sumset_codes(codes_of(A), A.p, A.n, d), A.p, A.n) == expect
-        assert set(dfold_distinct_sumset(A, d)) == expect
+    def test_distinct_sumsets_match_bruteforce(self, sets, d):
+        p, n = sets[0].p, sets[0].n
+        sums = distinct_sumsets(member_rows(sets), p, n, d)
+        assert sums.shape == (len(sets), p**n)
+        for A, row in zip(sets, sums):
+            expect = set(dfold_distinct_sumset_bruteforce(A, d))
+            assert vectors_of(row, p, n) == expect
+            assert set(dfold_distinct_sumset(A, d)) == expect
 
     def test_empty_and_singleton(self):
-        assert difference_codes([], 5, 3) == set()
-        assert sumset_codes([], 5, 3, 1) == set()
-        x = encode((4, 0, 2))
-        assert difference_codes([x], 5, 3) == {0}
-        assert sumset_codes([x], 5, 3, 1) == {x}
-        assert sumset_codes([x], 5, 3, 2) == set()
+        assert distinct_differences(np.zeros((2, 0, 3), dtype=np.uint8), 5).shape == (2, 0, 3)
+        assert distinct_differences(np.array([[[4, 0, 2]]]), 5).shape == (1, 0, 3)
+        empty = np.zeros((1, 125), dtype=bool)
+        assert not distinct_sumsets(empty, 5, 3, 1).any()
+        x = 4 * 25 + 2  # (4, 0, 2)
+        single = empty.copy()
+        single[0, x] = True
+        assert np.flatnonzero(distinct_sumsets(single, 5, 3, 1)[0]).tolist() == [x]
+        assert not distinct_sumsets(single, 5, 3, 2).any()
 
     def test_bad_d(self):
         with pytest.raises(ValueError):
-            sumset_codes([1], 2, 1, 0)
+            distinct_sumsets(np.ones((1, 2), dtype=bool), 2, 1, 0)
 
-    @pytest.mark.parametrize("n", [1, 8])
+    def test_wrappers_guard_group_order(self):
+        A = vs(2, 25, (1,) * 25)
+        with pytest.raises(ResourceGuardError):
+            difference_set(A)
+        with pytest.raises(ResourceGuardError):
+            dfold_distinct_sumset(A, 1)
+
+    @pytest.mark.parametrize("n", [1, 3])
     def test_p31_bytes_at_p_minus_1(self, n):
-        top, zero = encode((30,) * n), encode((0,) * n)
-        # Subtraction: bytes of a + P - b reach 2p - 1 (30 - 0) and 1 (0 - 30).
-        assert difference_codes([top, zero], 31, n) == {zero, top, encode((1,) * n)}
+        top, zero = (30,) * n, (0,) * n
+        # Subtraction: entries of a + p - b reach 2p - 1 (30 - 0) and 1 (0 - 30).
+        D = distinct_differences(np.array([[top, zero]], dtype=np.uint8), 31)[0]
+        assert sorted(map(tuple, D.tolist())) == [(1,) * n, top]
         # Addition: 10 + 20 = 30 in layer 2, then 30 + 30 = 60 = 2p - 2 -> 29.
-        cell = [encode((10,) * n), encode((20,) * n), top]
-        assert sumset_codes(cell, 31, n, 3) == {encode((29,) * n)}
-        assert sumset_codes(cell, 31, n, 2) == {
-            top, encode((9,) * n), encode((19,) * n)}
+        cell = vs(31, n, (10,) * n, (20,) * n, top)
+        assert [v.coords for v in dfold_distinct_sumset(cell, 3)] == [(29,) * n]
+        assert [v.coords for v in dfold_distinct_sumset(cell, 2)] == [
+            (9,) * n, (19,) * n, top]
 
 
 class TestPreimageIntersect:
