@@ -39,16 +39,15 @@ from .families import (
 from .fileio import digest_of_text
 from .fpgroup import (
     ResourceGuardError,
-    all_codes,
     all_vectors,
     annihilator_level,
     check_prime,
     chunk_slices,
-    decode_array,
     dual_rows,
     gaussian_binomial,
     hom_apply,
     hom_from_basis_images,
+    lex_coords,
     scan_avoiding,
 )
 from .setops import VecSet, distinct_differences, distinct_sumsets, preimage_intersect
@@ -435,17 +434,23 @@ def exp_poincare(p: int, n: int, k: int, trials: int, seed: int = 0) -> Experime
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _guard(p**n <= 2**14, f"p^n = {p}^{n} exceeds the sampling bound 2^14")
-    U = decode_array(all_codes(p, n), n)
+    U = lex_coords(p, n)
     rows = dual_rows(p, n)
     level = annihilator_level(p, n, k)
     rng = random.Random(seed)
 
     def run_arm(size: int) -> int:
         # One scan for all trials: trial t fails when some subgroup misses the
-        # differences of its distinct points, point set t of the scan.
+        # differences of its distinct points, point set t of the scan.  A
+        # subgroup holds x exactly when it holds -x, so one sign of each
+        # difference suffices, and each set has at most p^n - 1 points.
         picks = [rng.sample(range(len(U)), size) for _ in range(trials)]
+        member = distinct_differences(U[picks], p)
+        points = U[member.nonzero()[1]]
+        ends = np.cumsum(member.sum(axis=1)).tolist()
+        sets = [points[lo:hi] for lo, hi in zip([0] + ends, ends)]
         failed = np.zeros(trials, dtype=bool)
-        for _, hits in scan_avoiding(rows, [level], distinct_differences(U[picks], p), p):
+        for _, hits in scan_avoiding(rows, [level], sets, p):
             failed[hits % trials] = True
         return int(failed.sum())
 
@@ -563,7 +568,7 @@ def exp_bog_scan(
     # up to p^n sums; 2^18 of that work keeps a cover well under a second.
     work = p ** (2 * n) * d
     _guard(work <= 2**18, f"(p^n)^2 * d = {work} exceeds the sumset bound 2^18")
-    U = decode_array(all_codes(p, n), n)
+    U = lex_coords(p, n)
     size = len(U)
     c_max = _feasible_k_max(p, n, budget=20_000)
     rows = dual_rows(p, n)
@@ -600,9 +605,10 @@ def exp_bog_scan(
         mode = "random"
     # Covers run in blocks of about _BOG_BLOCK_BYTES, so memory does not grow
     # with the budget.  Per (cell, point) of a cover: the d + 1 sumset layers
-    # and the DP's two d-layer temporaries, the outside point (n bytes) and
-    # its float32 column in the scan (4(n + 1)), a bit of Z per dual row (at
-    # most size / 8 bytes) and the labels.
+    # and the DP's two d-layer temporaries (one row per cover, as each x lies
+    # in one cell of it, so counted here with room to spare), the outside
+    # point (n bytes) and its float32 column in the scan (4(n + 1)), a bit of
+    # Z per dual row (at most size / 8 bytes) and the labels.
     cells = min(r, size)
     block = max(1, _BOG_BLOCK_BYTES // (cells * size * (3 * d + 5 * n + size // 8 + 8)))
     records = []

@@ -272,6 +272,27 @@ def all_codes(p: int, n: int) -> list[int]:
     return [encode(c) for c in itertools.product(range(p), repeat=n)]
 
 
+# Lex indices: the position of a vector of F_p^n in lex order, the order of
+# all_vectors and all_codes, i.e. its coordinates read as base-p digits.
+
+
+def _lex_weights(p: int, n: int) -> np.ndarray:
+    return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def lex_coords(p: int, n: int) -> np.ndarray:
+    """The coordinates of all elements of F_p^n in lex order, one uint8 row
+    each: row i is the vector of lex index i."""
+    check_order(p, n)
+    return (np.arange(p**n, dtype=np.int64)[:, None] // _lex_weights(p, n) % p).astype(np.uint8)
+
+
+def lex_index(X: np.ndarray, p: int) -> np.ndarray:
+    """The lex index of every coordinate row along the last axis of X."""
+    X = np.asarray(X)
+    return X @ _lex_weights(p, X.shape[-1])
+
+
 @lru_cache(maxsize=None)
 def swar_constants(p: int, n: int) -> tuple[int, int, int]:
     """K, H and P for mod-p arithmetic on every byte of an n-byte code at once.

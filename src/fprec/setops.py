@@ -2,9 +2,10 @@
 
 Difference sets, d-fold sumsets with distinct summands, and
 preimage-intersection constructions.  The two kernels, distinct_differences
-and distinct_sumsets, take numpy arrays of many point sets at once;
-difference_set and dfold_distinct_sumset pass them one VecSet, and every
-VecSet is canonically sorted and duplicate-free.
+and distinct_sumsets, take many point sets at once and return one boolean
+row per set over F_p^n in lex order (fpgroup.lex_index); difference_set and
+dfold_distinct_sumset pass them one VecSet, and every VecSet is canonically
+sorted and duplicate-free.
 """
 
 from __future__ import annotations
@@ -16,7 +17,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .fpgroup import FpMatrix, FpVec, all_vectors, check_order, chunk_slices, hom_apply
+from .fpgroup import (
+    FpMatrix,
+    FpVec,
+    all_vectors,
+    check_order,
+    chunk_slices,
+    hom_apply,
+    lex_coords,
+    lex_index,
+)
 
 
 @dataclass(frozen=True)
@@ -62,48 +72,39 @@ class VecSet:
 
 
 def distinct_differences(P: np.ndarray, p: int) -> np.ndarray:
-    """The differences a - b of points at distinct positions of each point set.
+    """The differences of each set's points, one sign of each pair.
 
-    P is a (T, m, n) array of T sets of m points of F_p^n; the result is the
-    (T, m(m - 1), n) uint8 array of P[t, a] - P[t, b] for a != b, in row-major
-    order of (a, b).  Equal points at distinct positions give 0.
+    P is a (T, m, n) uint8 array of T sets of m distinct points of F_p^n.
+    Row t of the (T, p^n) boolean result marks, by lex index, P[t, a] -
+    P[t, b] for every a < b; the other differences b - a are their
+    negations, so a subgroup meets the one exactly when it meets the other.
+    The pairs are taken a chunk of positions a at a time, so memory beyond
+    the result stays bounded whatever m is.
     """
     P = np.asarray(P, dtype=np.uint8)
-    m = P.shape[1]
-    # Every entry of a + p - b lies in [1, 2p - 1] <= 61, so uint8 holds it.
-    D = (P[:, :, None] + np.uint8(p) - P[:, None]) % np.uint8(p)
-    return D[:, ~np.eye(m, dtype=bool)]
-
-
-def _lex_weights(p: int, n: int) -> np.ndarray:
-    return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-
-def _lex_digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
-    """The coordinates of lex indices of F_p^n, one uint8 row each."""
-    return (np.asarray(idx, dtype=np.int64)[:, None] // _lex_weights(p, n) % p).astype(np.uint8)
-
-
-def _minus_index(X: np.ndarray, p: int) -> np.ndarray:
-    """Row i: the lex index of v - X[i] for every v of F_p^n in lex order,
-    built one coordinate at a time, most significant first."""
-    idx = np.zeros((len(X), 1), dtype=np.intp)
-    digits = np.arange(p, dtype=np.intp)
-    for col in np.asarray(X, dtype=np.intp).T:
-        idx = (idx[:, :, None] * p + (digits - col[:, None, None]) % p).reshape(len(X), -1)
-    return idx
+    T, m, n = P.shape
+    member = np.zeros((T, p**n), dtype=bool)
+    cells = member.reshape(-1)
+    offsets = np.arange(T)[:, None] * p**n
+    for sl in chunk_slices(m - 1, T * m * n):
+        a = np.arange(sl.start, min(sl.stop, m - 1))
+        b = np.arange(sl.start + 1, m)
+        # Every entry of a + p - b lies in [1, 2p - 1] <= 61, so uint8 holds it.
+        D = (P[:, a, None] + np.uint8(p) - P[:, None, b]) % np.uint8(p)
+        cells[offsets + lex_index(D[:, a[:, None] < b], p)] = True
+    return member
 
 
 def distinct_sumsets(member: np.ndarray, p: int, n: int, d: int) -> np.ndarray:
     """Sums of d mutually distinct elements of many subsets of F_p^n at once.
 
-    member is a (B, p^n) boolean array, row b marking a subset by lex index
-    (all_codes order); row b of the result marks that subset's d-fold
-    distinct sumset.  A layered dynamic program over the elements x of the
-    union: layer j marks the sums of j distinct elements among those seen so
-    far, and x moves layer j - 1, shifted by x, into layer j of every row
-    that holds x.  All layers move at once from their values before x, which
-    is the j = d..1 order of the one-set DP.
+    member is a (B, p^n) boolean array, row b marking a subset by lex index;
+    row b of the result marks that subset's d-fold distinct sumset.  A
+    layered dynamic program over the elements x of the union: layer j marks
+    the sums of j distinct elements among those seen so far, and x moves
+    layer j - 1, shifted by x, into layer j of the rows that hold x.  All
+    layers move at once from their values before x, which is the j = d..1
+    order of the one-set DP.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -111,21 +112,29 @@ def distinct_sumsets(member: np.ndarray, p: int, n: int, d: int) -> np.ndarray:
     xs = np.flatnonzero(member.any(axis=0))
     if d > len(xs):
         return np.zeros_like(member)  # fewer than d elements in every row
-    L = np.zeros((d + 1, *member.shape), dtype=bool)
-    L[0, :, 0] = True
-    for sl in chunk_slices(len(xs), member.shape[1]):
-        minus = _minus_index(_lex_digits(xs[sl], p, n), p)
+    U = lex_coords(p, n)
+    # L[b, j]: layer j of row b, so the rows that hold x are one gather.
+    L = np.zeros((member.shape[0], d + 1, member.shape[1]), dtype=bool)
+    L[:, 0, 0] = True
+    holders = member.T
+    for sl in chunk_slices(len(xs), U.size):
+        # minus[i, v]: the lex index of v - x for the i-th x of the chunk.
+        minus = lex_index((U + np.uint8(p) - U[xs[sl], None]) % np.uint8(p), p)
         for t, x in enumerate(xs[sl], start=sl.start):
             j = min(d, t + 1)
-            L[1 : j + 1] |= L[:j][:, :, minus[t - sl.start]] & member[:, x, None]
-    return L[d]
+            rows = holders[x].nonzero()[0]
+            sub = L.take(rows, axis=0)
+            sub[:, 1 : j + 1] |= sub[:, :j].take(minus[t - sl.start], axis=2)
+            L[rows] = sub
+    return L[:, d]
 
 
 def _coords(A: VecSet) -> np.ndarray:
     return np.array([v.coords for v in A.elements], dtype=np.uint8).reshape(len(A), A.n)
 
 
-def _from_coords(p: int, n: int, rows: np.ndarray) -> VecSet:
+def _from_member(p: int, n: int, row: np.ndarray) -> VecSet:
+    rows = lex_coords(p, n)[row]
     return VecSet(p, n, tuple(FpVec(p, tuple(r)) for r in rows.tolist()))
 
 
@@ -133,10 +142,11 @@ def difference_set(A: VecSet, distinct_only: bool = False) -> VecSet:
     """{a - a' : a, a' in A}; with distinct_only, only pairs a != a'.
     One set through distinct_differences."""
     check_order(A.p, A.n)
-    D = distinct_differences(_coords(A)[None], A.p)[0]
-    if not distinct_only and len(A):
-        D = np.vstack([D, np.zeros((1, A.n), dtype=np.uint8)])  # a - a = 0
-    return _from_coords(A.p, A.n, D)
+    half = distinct_differences(_coords(A)[None], A.p)[0]
+    negate = lex_index((A.p - lex_coords(A.p, A.n)) % A.p, A.p)
+    D = half | half[negate]
+    D[0] = len(A) > 0 and not distinct_only  # a - a = 0
+    return _from_member(A.p, A.n, D)
 
 
 def dfold_distinct_sumset(A: VecSet, d: int) -> VecSet:
@@ -145,9 +155,8 @@ def dfold_distinct_sumset(A: VecSet, d: int) -> VecSet:
     implementation and the two must agree exactly."""
     check_order(A.p, A.n)
     member = np.zeros((1, A.p**A.n), dtype=bool)
-    member[0, _coords(A).astype(np.int64) @ _lex_weights(A.p, A.n)] = True
-    sums = distinct_sumsets(member, A.p, A.n, d)[0]
-    return _from_coords(A.p, A.n, _lex_digits(np.flatnonzero(sums), A.p, A.n))
+    member[0, lex_index(_coords(A), A.p)] = True
+    return _from_member(A.p, A.n, distinct_sumsets(member, A.p, A.n, d)[0])
 
 
 def dfold_distinct_sumset_bruteforce(A: VecSet, d: int) -> VecSet:

@@ -414,6 +414,25 @@ class TestPoincare:
         assert results["failures"] == failures
         assert results["observational_failures_at_smaller_size"] == observational
 
+    # Near k = n - 1, the p^k + 1 points of a trial have far more than p^n
+    # ordered differences; each scanned set still holds distinct points only.
+    @pytest.mark.parametrize("p,n,k,trials,seed", [(2, 7, 5, 3, 13), (3, 5, 3, 3, 14)])
+    def test_k_near_n_matches_reference(self, monkeypatch, p, n, k, trials, seed):
+        sizes = []
+
+        def recorded_scan(rows, levels, sets, q):
+            for s in sets:
+                assert len({tuple(x) for x in s.tolist()}) == len(s)
+                sizes.append(len(s))
+            return scan_avoiding(rows, levels, sets, q)
+
+        monkeypatch.setattr(experiments, "scan_avoiding", recorded_scan)
+        results = exp_poincare(p, n, k, trials, seed=seed).results
+        failures, observational = poincare_reference(p, n, k, trials, seed)
+        assert results["failures"] == failures
+        assert results["observational_failures_at_smaller_size"] == observational
+        assert len(sizes) == 2 * trials and max(sizes) <= p**n - 1
+
 
 class TestProfileScan:
     def test_e1_deficiency_constant(self):
@@ -450,7 +469,7 @@ class TestBogScan:
 
     @pytest.mark.parametrize("p,d,n,r,budget,seed", [
         (2, 4, 2, 2, 300, 0), (2, 4, 3, 2, 20, 1), (2, 4, 3, 2, 20, 2), (3, 3, 2, 2, 20, 3),
-        (2, 4, 4, 3, 20, 4), (2, 4, 5, 2, 10, 5),
+        (2, 4, 4, 3, 20, 4), (2, 4, 5, 2, 10, 5), (2, 4, 3, 9, 10, 6), (3, 3, 2, 12, 10, 7),
     ])
     def test_histogram_matches_subset_definition(self, p, d, n, r, budget, seed):
         report = exp_bog_scan(p, d, n, r, budget=budget, seed=seed)

@@ -29,6 +29,8 @@ from fprec.fpgroup import (
     hom_apply,
     hom_from_basis_images,
     kernel_basis,
+    lex_coords,
+    lex_index,
     pairing,
     rref_rank,
     scan_avoiding,
@@ -501,6 +503,15 @@ class TestPackedCodes:
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 3), (5, 2), (31, 2)])
     def test_all_codes_are_all_vectors(self, p, n):
         assert [decode(c, n) for c in all_codes(p, n)] == [v.coords for v in all_vectors(p, n)]
+
+    @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 5), (3, 3), (5, 2), (31, 2)])
+    def test_lex_table_is_all_vectors(self, p, n):
+        U = lex_coords(p, n)
+        assert U.dtype == np.uint8 and U.tolist() == [list(v.coords) for v in all_vectors(p, n)]
+        assert lex_index(U, p).tolist() == list(range(p**n))
+        assert lex_index(U[None, ::-1], p).tolist() == [list(range(p**n - 1, -1, -1))]
+        with pytest.raises(ResourceGuardError):
+            lex_coords(2, 25)
 
     def test_swar_constants(self):
         K, H, P = swar_constants(31, 3)

@@ -116,8 +116,10 @@ def member_rows(sets):
 
 
 def vectors_of(row, p, n):
-    """The vectors a boolean row over F_p^n marks, in lex order."""
-    return {FpVec(p, c) for c, hit in zip(itertools.product(range(p), repeat=n), row) if hit}
+    """The vectors a boolean row over F_p^n marks, entry i marking the vector
+    whose base-p digits are i."""
+    return {FpVec(p, tuple(i // p ** (n - 1 - j) % p for j in range(n)))
+            for i in np.flatnonzero(row).tolist()}
 
 
 class TestCodeKernels:
@@ -127,14 +129,14 @@ class TestCodeKernels:
     @settings(max_examples=300, deadline=None)
     def test_distinct_differences_match_fpvec_subtraction(self, sets, distinct_only):
         # Sets of one size stack into one batch; positions stand in for points.
+        p, n = sets[0].p, sets[0].n
         m = min(len(A) for A in sets)
-        P = np.stack([coords_of(A)[:m] for A in sets])
-        D = distinct_differences(P, sets[0].p)
-        assert D.shape == (len(sets), m * (m - 1), sets[0].n) and D.dtype == np.uint8
-        for A, rows in zip(sets, D):
+        D = distinct_differences(np.stack([coords_of(A)[:m] for A in sets]), p)
+        assert D.shape == (len(sets), p**n) and D.dtype == bool
+        for A, row in zip(sets, D):
             E = A.elements[:m]
-            assert {FpVec(A.p, tuple(r)) for r in rows.tolist()} == {
-                a - b for a in E for b in E if a != b}
+            pairs = itertools.combinations(range(m), 2)
+            assert vectors_of(row, p, n) == {E[a] - E[b] for a, b in pairs}
         for A in sets:
             expect = {a - b for a in A for b in A if not (distinct_only and a == b)}
             assert set(difference_set(A, distinct_only=distinct_only)) == expect
@@ -151,8 +153,9 @@ class TestCodeKernels:
             assert set(dfold_distinct_sumset(A, d)) == expect
 
     def test_empty_and_singleton(self):
-        assert distinct_differences(np.zeros((2, 0, 3), dtype=np.uint8), 5).shape == (2, 0, 3)
-        assert distinct_differences(np.array([[[4, 0, 2]]]), 5).shape == (1, 0, 3)
+        none = distinct_differences(np.zeros((2, 0, 3), dtype=np.uint8), 5)
+        assert none.shape == (2, 125) and not none.any()
+        assert not distinct_differences(np.array([[[4, 0, 2]]]), 5).any()
         empty = np.zeros((1, 125), dtype=bool)
         assert not distinct_sumsets(empty, 5, 3, 1).any()
         x = 4 * 25 + 2  # (4, 0, 2)
@@ -176,8 +179,8 @@ class TestCodeKernels:
     def test_p31_bytes_at_p_minus_1(self, n):
         top, zero = (30,) * n, (0,) * n
         # Subtraction: entries of a + p - b reach 2p - 1 (30 - 0) and 1 (0 - 30).
-        D = distinct_differences(np.array([[top, zero]], dtype=np.uint8), 31)[0]
-        assert sorted(map(tuple, D.tolist())) == [(1,) * n, top]
+        D = distinct_differences(np.array([[top, zero], [zero, top]], dtype=np.uint8), 31)
+        assert [vectors_of(row, 31, n) for row in D] == [{FpVec(31, top)}, {FpVec(31, (1,) * n)}]
         # Addition: 10 + 20 = 30 in layer 2, then 30 + 30 = 60 = 2p - 2 -> 29.
         cell = vs(31, n, (10,) * n, (20,) * n, top)
         assert [v.coords for v in dfold_distinct_sumset(cell, 3)] == [(29,) * n]
