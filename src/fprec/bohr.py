@@ -7,17 +7,24 @@ k_max avoids the set, the set is certified recurrent up to level k_max.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
+
+import numpy as np
 
 from .fpgroup import (
+    MAX_SUBGROUPS,
     FpMatrix,
     ResourceGuardError,
     Subgroup,
     annihilator_level,
+    chunk_slices,
     dual_rows,
-    encode,
-    enum_codim_subgroups,
+    gaussian_binomial,
+    lex_index,
     scan_avoiding,
+    span,
 )
 from .setops import VecSet
 
@@ -81,19 +88,45 @@ def bohr_deficiency(S: VecSet, k_max: int, set_id: str = "") -> DeficiencyReport
     return DeficiencyReport(set_id, S.p, S.n, k_max, "recurrent", None, None, k_max, counts)
 
 
-def meets_all_subgroups_oracle(S: VecSet, k: int) -> bool:
-    """Independent oracle: materialize every codim-k subgroup as an element list.
+def _subspace_bases(p: int, n: int, d: int) -> Iterator[np.ndarray]:
+    """The RREF bases of all d-dimensional subspaces of F_p^n, as (count, d, n)
+    uint8 blocks of one pivot pattern each, whose spans are about one chunk.
 
-    Uses kernel bases and explicit spans, on packed codes, rather than
-    annihilator products, so it shares no verdict-relevant code path with
-    bohr_deficiency.
+    Row i of a basis has a 1 in its pivot column c_i, zeros in the other
+    pivot columns and left of c_i, and any residues in its free cells, the
+    non-pivot columns right of c_i; each subspace has exactly one such basis.
     """
-    if k > S.n:
-        raise ValueError(f"k={k} exceeds ambient dimension {S.n}")
-    if S.p ** S.n > 2**14:
+    for pivots in itertools.combinations(range(n), d):
+        cells = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, n) if j not in pivots]
+        rows, cols = [i for i, _ in cells], [j for _, j in cells]
+        free = itertools.product(range(p), repeat=len(cells))
+        for sl in chunk_slices(p ** len(cells), p**d * n):
+            values = list(itertools.islice(free, sl.stop - sl.start))
+            block = np.zeros((len(values), d, n), dtype=np.uint8)
+            block[:, range(d), list(pivots)] = 1
+            block[:, rows, cols] = values
+            yield block
+
+
+def meets_all_subgroups_oracle(S: VecSet, k: int) -> bool:
+    """Independent oracle: span every codim-k subgroup and look up its elements.
+
+    The subgroups come from their own enumeration, _subspace_bases, rather
+    than the annihilators that bohr_deficiency scans, so the two share no
+    verdict-relevant code path.  Each block of bases is spanned at once and
+    its elements looked up in S's indicator row over F_p^n in lex order.
+    """
+    p, n = S.p, S.n
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} out of range [0, {n}]")
+    if p**n > 2**14:
         raise ResourceGuardError("oracle requires p^n <= 2^14 for exhaustive listing")
-    S_codes = {encode(x.coords) for x in S.elements}
-    for H in enum_codim_subgroups(S.p, S.n, k):
-        if S_codes.isdisjoint(H.codes()):
+    if gaussian_binomial(n, k, p) > MAX_SUBGROUPS:
+        raise ResourceGuardError(f"C({n}, {k})_{p} subgroups exceeds the per-level bound 2^22")
+    member = np.zeros(p**n, dtype=bool)
+    member[lex_index(S.rows(), p)] = True
+    for block in _subspace_bases(p, n, n - k):
+        elements = lex_index(span(block, p, slice(None)), p)  # (bases, p^(n-k))
+        if not member[elements].any(axis=1).all():
             return False
     return True

@@ -9,7 +9,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .fpgroup import DualVec, FpVec, Subgroup, encode, swar_constants
+import numpy as np
+
+from .fpgroup import DualVec, FpVec, Subgroup, chunk_slices
 from .setops import VecSet
 
 INFINITE = float("inf")
@@ -69,27 +71,29 @@ class CayleyGraph:
 def build_cayley(V: VecSet, S: VecSet) -> CayleyGraph:
     """Build Cay(V, S) with deterministic (sorted) vertex order.
 
-    Vectors are packed into integer codes (fpgroup.encode), and each
-    vertex x is probed at x + s for every s in S and -S, so the cost is
-    |V| * |S u -S| dict lookups.
+    Each vertex is one fixed-width byte key, its uint8 coordinate row, so the
+    sorted vertices' keys ascend.  Every vertex x is probed at x + s for each
+    nonzero s in S and -S by np.searchsorted, a chunk of vertices at a time:
+    |V| * |S u -S| binary searches.
     """
     if V.p != S.p or V.n != S.n:
         raise ValueError("vertex set and connection set live in different groups")
-    verts = V.elements
-    p = V.p
-    index = {encode(v.coords): i for i, v in enumerate(verts)}
-    shifts = {encode(c) for s in S for c in (s.coords, (-s).coords)}
-    edges: list[tuple[int, int]] = []
-    if 0 in shifts:
-        edges.extend((i, i) for i in range(len(verts)))
-        shifts.discard(0)
-    K, H, _ = swar_constants(p, V.n)
-    for x, i in index.items():
-        for s in shifts:
-            t = x + s
-            j = index.get(t - (((t + K) & H) >> 7) * p, -1)
-            if j > i:
-                edges.append((i, j))
+    verts, p, n = V.elements, V.p, V.n
+    edges = [(i, i) for i in range(len(verts))] if S.contains_zero() else []
+    nonzero = sorted({c for s in S if not s.is_zero() for c in (s.coords, (-s).coords)})
+    # Only n >= 1 has a nonzero shift, so no key is 0 bytes wide.
+    if nonzero and verts:
+        D = np.array(nonzero, dtype=np.uint8)
+        key = np.dtype((np.bytes_, n))
+        X = V.rows()
+        keys = X.view(key).ravel()
+        for sl in chunk_slices(len(keys), len(D) * n):
+            # Every entry of x + s lies in [0, 2p - 2] <= 60, so uint8 holds it.
+            probes = ((X[sl, None] + D) % np.uint8(p)).view(key)[..., 0]
+            j = np.searchsorted(keys, probes)
+            hit = keys[np.minimum(j, len(keys) - 1)] == probes
+            i, s = np.nonzero(hit & (j > np.arange(len(keys))[sl, None]))
+            edges.extend(zip((i + sl.start).tolist(), j[i, s].tolist()))
     return CayleyGraph(verts, S, Graph.from_edges(len(verts), edges))
 
 

@@ -13,8 +13,8 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, reduce, wraps
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from functools import lru_cache, wraps
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -245,46 +245,26 @@ def all_vectors(p: int, n: int) -> Iterator[FpVec]:
         yield FpVec(p, coords)
 
 
-# Packed codes: a vector of F_p^n as one int, one byte per coordinate,
-# big-endian, so that codes sort in the lex order of coordinate tuples.
-# check_prime keeps p <= 31, so every byte sum below stays under 256.
-
-
-def encode(coords: Sequence[int]) -> int:
-    """The packed code of a tuple of residues in [0, p - 1]."""
-    return int.from_bytes(bytes(coords), "big")
-
-
-def decode(code: int, n: int) -> tuple[int, ...]:
-    """The coordinate tuple of a packed code of F_p^n."""
-    return tuple(code.to_bytes(n, "big"))
-
-
-def decode_array(codes: Collection[int], n: int) -> np.ndarray:
-    """The coordinates of packed codes of F_p^n, one uint8 row each."""
-    data = b"".join(c.to_bytes(n, "big") for c in codes)
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(codes), n)
-
-
-def all_codes(p: int, n: int) -> list[int]:
-    """The packed codes of all elements of F_p^n, ascending (lex order)."""
-    check_order(p, n)
-    return [encode(c) for c in itertools.product(range(p), repeat=n)]
-
-
 # Lex indices: the position of a vector of F_p^n in lex order, the order of
-# all_vectors and all_codes, i.e. its coordinates read as base-p digits.
+# all_vectors, i.e. its coordinates read as base-p digits.  As p <= 31, a
+# uint8 row holds the sum of two rows before its reduction mod p.
 
 
 def _lex_weights(p: int, n: int) -> np.ndarray:
     return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
+def _lex_rows(idx: np.ndarray, p: int, n: int) -> np.ndarray:
+    """The coordinates of the vectors of F_p^n with lex indices idx, one uint8
+    row each."""
+    return (idx[:, None] // _lex_weights(p, n) % p).astype(np.uint8)
+
+
 def lex_coords(p: int, n: int) -> np.ndarray:
     """The coordinates of all elements of F_p^n in lex order, one uint8 row
     each: row i is the vector of lex index i."""
     check_order(p, n)
-    return (np.arange(p**n, dtype=np.int64)[:, None] // _lex_weights(p, n) % p).astype(np.uint8)
+    return _lex_rows(np.arange(p**n, dtype=np.int64), p, n)
 
 
 def lex_index(X: np.ndarray, p: int) -> np.ndarray:
@@ -293,35 +273,18 @@ def lex_index(X: np.ndarray, p: int) -> np.ndarray:
     return X @ _lex_weights(p, X.shape[-1])
 
 
-@lru_cache(maxsize=None)
-def swar_constants(p: int, n: int) -> tuple[int, int, int]:
-    """K, H and P for mod-p arithmetic on every byte of an n-byte code at once.
+def span(B: np.ndarray, p: int, coeffs: slice) -> np.ndarray:
+    """The combinations sum c_i B[..., i, :] mod p of each basis in B.
 
-    P repeats p in each byte.  For t whose bytes lie in [0, 2p - 1],
-    t - (((t + K) & H) >> 7) * p reduces every byte mod p: adding K = 128 - p
-    per byte sets a byte's 0x80 bit exactly when it is >= p, without a carry.
-    So a + b and a + P - b, for codes a and b, reduce to their sum and
-    difference in F_p^n.
+    B is an (..., d, n) array of d basis rows per basis, and c runs over the
+    coefficient vectors of F_p^d whose lex indices lie in coeffs, in lex
+    order.  Returns uint8 rows of shape (..., m, n), m the number of c.
     """
-    return (
-        int.from_bytes(bytes([128 - p]) * n, "big"),
-        int.from_bytes(b"\x80" * n, "big"),
-        int.from_bytes(bytes([p]) * n, "big"),
-    )
-
-
-def _span_codes(basis: Sequence[FpVec], p: int, n: int) -> Iterator[int]:
-    """The packed codes of the combinations sum c_i basis[i] in F_p^n, lazily,
-    in lex order of (c_1, ..., c_d)."""
-    K, H, _ = swar_constants(p, n)
-
-    def add(a: int, b: int) -> int:
-        t = a + b
-        return t - (((t + K) & H) >> 7) * p
-
-    # The multiples 0, v, 2v, ..., (p - 1)v of each basis vector v.
-    multiples = [itertools.accumulate([encode(v.coords)] * (p - 1), add, initial=0) for v in basis]
-    return (reduce(add, ms, 0) for ms in itertools.product(*multiples))
+    d = B.shape[-2]
+    C = _lex_rows(np.arange(*coeffs.indices(p**d), dtype=np.int64), p, d)
+    # Sums of d products of residues below 31 stay far below 2^31.
+    out = np.tensordot(C.astype(np.int32), np.asarray(B, dtype=np.int32), axes=(1, -2)) % p
+    return np.moveaxis(out, 0, -2).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -371,20 +334,18 @@ class Subgroup:
             for row in self.annihilator.entries
         )
 
-    def codes(self) -> Iterator[int]:
-        """The packed codes of all p^(n-k) elements, in lex order of their
-        coefficients over kernel_basis, or over the standard basis when k = 0."""
-        check_order(self.p, self.n - self.codim)
-        if self.codim:
-            basis = kernel_basis(self.annihilator)
-        else:
-            basis = [FpVec.basis(self.p, self.n, j) for j in range(1, self.n + 1)]
-        return _span_codes(basis, self.p, self.n)
-
     def elements(self) -> Iterator[FpVec]:
-        """All p^(n-k) elements, in the order of codes()."""
-        for c in self.codes():
-            yield FpVec(self.p, decode(c, self.n))
+        """All p^(n-k) elements, in lex order of their coefficients over
+        kernel_basis, or over the standard basis when k = 0, spanned a chunk
+        at a time."""
+        p, n, d = self.p, self.n, self.n - self.codim
+        check_order(p, d)
+        # A zero row's kernel basis is the standard basis, in order.
+        A = self.annihilator if self.codim else FpMatrix.zero(p, 1, n)
+        B = np.array([v.coords for v in kernel_basis(A)], dtype=np.uint8).reshape(d, n)
+        for sl in chunk_slices(p**d, n):
+            for row in span(B, p, sl).tolist():
+                yield FpVec(p, tuple(row))
 
 
 # Entries per chunk of an array pass: small enough to stay in cache, large

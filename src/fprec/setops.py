@@ -70,6 +70,11 @@ class VecSet:
     def coord_tuples(self) -> set[tuple[int, ...]]:
         return {v.coords for v in self.elements}
 
+    def rows(self) -> np.ndarray:
+        """The elements' coordinates in order, one uint8 row each."""
+        coords = [v.coords for v in self.elements]
+        return np.array(coords, dtype=np.uint8).reshape(len(self), self.n)
+
 
 def distinct_differences(P: np.ndarray, p: int) -> np.ndarray:
     """The differences of each set's points, one sign of each pair.
@@ -129,10 +134,6 @@ def distinct_sumsets(member: np.ndarray, p: int, n: int, d: int) -> np.ndarray:
     return L[:, d]
 
 
-def _coords(A: VecSet) -> np.ndarray:
-    return np.array([v.coords for v in A.elements], dtype=np.uint8).reshape(len(A), A.n)
-
-
 def _from_member(p: int, n: int, row: np.ndarray) -> VecSet:
     rows = lex_coords(p, n)[row]
     return VecSet(p, n, tuple(FpVec(p, tuple(r)) for r in rows.tolist()))
@@ -142,7 +143,7 @@ def difference_set(A: VecSet, distinct_only: bool = False) -> VecSet:
     """{a - a' : a, a' in A}; with distinct_only, only pairs a != a'.
     One set through distinct_differences."""
     check_order(A.p, A.n)
-    half = distinct_differences(_coords(A)[None], A.p)[0]
+    half = distinct_differences(A.rows()[None], A.p)[0]
     negate = lex_index((A.p - lex_coords(A.p, A.n)) % A.p, A.p)
     D = half | half[negate]
     D[0] = len(A) > 0 and not distinct_only  # a - a = 0
@@ -155,7 +156,7 @@ def dfold_distinct_sumset(A: VecSet, d: int) -> VecSet:
     implementation and the two must agree exactly."""
     check_order(A.p, A.n)
     member = np.zeros((1, A.p**A.n), dtype=bool)
-    member[0, lex_index(_coords(A), A.p)] = True
+    member[0, lex_index(A.rows(), A.p)] = True
     return _from_member(A.p, A.n, distinct_sumsets(member, A.p, A.n, d)[0])
 
 

@@ -2,15 +2,26 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from fprec import bohr, fpgroup
 from fprec.bohr import (
+    _subspace_bases,
     bohr_deficiency,
     meets_all_subgroups_oracle,
 )
 from fprec.colorings import verify
 from fprec.families import weight_d_set
-from fprec.fpgroup import FpVec, ResourceGuardError, all_vectors, enum_codim_subgroups
+from fprec.fpgroup import (
+    FpVec,
+    ResourceGuardError,
+    all_vectors,
+    enum_codim_subgroups,
+    gaussian_binomial,
+    lex_index,
+    span,
+)
 from fprec.setops import VecSet
 
 
@@ -142,9 +153,49 @@ class TestOracle:
                 meets = rep.deficient_at is None or rep.deficient_at > k
                 assert meets_all_subgroups_oracle(S, k) == meets
 
+    def test_independent_of_the_scan(self, monkeypatch):
+        rng = random.Random(32)
+        cases = []
+        for p, n in ((2, 4), (3, 3), (5, 2)):
+            for _ in range(15):
+                S = random_vecset(rng, p, n, rng.randrange(1, 10))
+                for k in range(1, n + 1):
+                    rep = bohr_deficiency(S, k)
+                    cases.append((S, k, rep.deficient_at is None or rep.deficient_at > k))
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the oracle reached the scan's code path")
+
+        for name in ("annihilator_level", "annihilator_array", "dual_rows",
+                     "enum_codim_subgroups", "scan_avoiding", "rref_rank", "Subgroup"):
+            for module in (fpgroup, bohr):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, unavailable)
+        for S, k, meets in cases:
+            assert meets_all_subgroups_oracle(S, k) == meets
+
+    @pytest.mark.parametrize(
+        "p,n", [(p, n) for p in (2, 3, 5, 7) for n in range(8) if p**n <= 243]
+    )
+    def test_enumeration_lists_every_subgroup_once(self, p, n):
+        for k in range(n + 1):
+            d = n - k
+            blocks = list(_subspace_bases(p, n, d))
+            bases = np.concatenate(blocks) if blocks else np.zeros((0, d, n), dtype=np.uint8)
+            subgroups = {frozenset(lex_index(span(B, p, slice(None)), p).tolist()) for B in bases}
+            assert len(bases) == len(subgroups) == gaussian_binomial(n, k, p)
+            assert {len(H) for H in subgroups} == {p**d}
+
     def test_scale_guard(self):
         with pytest.raises(ResourceGuardError):
             meets_all_subgroups_oracle(VecSet.empty(2, 20), 1)
+        with pytest.raises(ResourceGuardError):
+            meets_all_subgroups_oracle(VecSet.empty(2, 14), 7)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_codimension_out_of_range(self, k):
+        with pytest.raises(ValueError):
+            meets_all_subgroups_oracle(VecSet.full(2, 3), k)
 
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (5, 2), (7, 2)])
     def test_agrees_with_contains_filter(self, p, n):

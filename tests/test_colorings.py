@@ -125,6 +125,12 @@ CAYLEY_ORACLE_CASES = [
 
 @pytest.mark.parametrize("p,case", CAYLEY_ORACLE_CASES)
 def test_build_cayley_matches_pair_loop(p, case):
+    # F_p^0 = {()}: a zero-byte key; S = {0} gives one self-loop, S = {} none.
+    V0 = VecSet.empty(p, 0) if case == "empty-V" else VecSet.full(p, 0)
+    S0 = VecSet(p, 0, (FpVec.zero(p, 0),)) if case == "zero-in-S" else VecSet.empty(p, 0)
+    g = build_cayley(V0, S0).graph
+    assert g == cayley_pair_loop(V0, S0)
+    assert g.self_loops == frozenset(range(len(V0)) if S0.elements else ())
     rng = random.Random(f"{p}-{case}")
     num_edges = 0
     for n in range(1, 13):

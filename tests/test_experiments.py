@@ -190,6 +190,17 @@ class TestSSquare:
         with pytest.raises(ValueError):
             exp_s_square(1)
 
+    # sha256 of the JSON reports at W = 7 and 8 (vectors of 49 and 64
+    # coordinates), recorded when build_cayley probed on packed integer
+    # codes; any change to the graph, coloring or census changes them.
+    @pytest.mark.parametrize("W,digest", [
+        (7, "32f3ff66f63e3307c5a52dc9967e0203fb23b426e62f30a4d9e811c82597a75d"),
+        (8, "84c854c443b6f3aa0975b9a012fc5b3419f78da3f4834c15dd406cd7ba52fd93"),
+    ])
+    def test_wide_report_digests_pinned(self, W, digest):
+        report = exp_s_square(W)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
 
 class TestEpRoundtrip:
     def test_single_pair_family(self):

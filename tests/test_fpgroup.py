@@ -1,8 +1,10 @@
 import hashlib
+import inspect
 import itertools
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,15 +17,11 @@ from fprec.fpgroup import (
     FpVec,
     ResourceGuardError,
     Subgroup,
-    all_codes,
     all_vectors,
     annihilator_array,
     annihilator_level,
     chunk_slices,
-    decode,
-    decode_array,
     dual_rows,
-    encode,
     enum_codim_subgroups,
     gaussian_binomial,
     hom_apply,
@@ -34,7 +32,6 @@ from fprec.fpgroup import (
     pairing,
     rref_rank,
     scan_avoiding,
-    swar_constants,
 )
 
 
@@ -211,6 +208,18 @@ class TestSubgroup:
                 for H in enum_codim_subgroups(p, n, k):
                     h.update("".join(map(repr, H.elements())).encode())
         assert h.hexdigest() == self.ELEMENTS_DIGEST
+
+    def test_elements_are_spanned_lazily(self):
+        # The 2^24 coefficient rows of F_2^24 would take about 400 MiB.
+        assert inspect.isgeneratorfunction(Subgroup.elements)
+        tracemalloc.start()
+        try:
+            first = next(Subgroup.whole_group(2, 24).elements())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == FpVec.zero(2, 24)
+        assert peak < 16 * 2**20
 
 
 class TestEnumeration:
@@ -491,19 +500,7 @@ class TestLevelMemo:
         assert memo.nbytes == sum(a.nbytes for a in memo.kept.values()) <= memo.total_bytes
 
 
-class TestPackedCodes:
-    @given(st.sampled_from([2, 3, 5, 7, 31]), st.integers(0, 8), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_code_order_is_tuple_order(self, p, n, data):
-        tuples = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=12))
-        codes = [encode(t) for t in tuples]
-        assert [decode(c, n) for c in sorted(codes)] == sorted(tuples)
-        assert decode_array(codes, n).tolist() == [list(t) for t in tuples]
-
-    @pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 3), (5, 2), (31, 2)])
-    def test_all_codes_are_all_vectors(self, p, n):
-        assert [decode(c, n) for c in all_codes(p, n)] == [v.coords for v in all_vectors(p, n)]
-
+class TestLexTable:
     @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 5), (3, 3), (5, 2), (31, 2)])
     def test_lex_table_is_all_vectors(self, p, n):
         U = lex_coords(p, n)
@@ -512,11 +509,3 @@ class TestPackedCodes:
         assert lex_index(U[None, ::-1], p).tolist() == [list(range(p**n - 1, -1, -1))]
         with pytest.raises(ResourceGuardError):
             lex_coords(2, 25)
-
-    def test_swar_constants(self):
-        K, H, P = swar_constants(31, 3)
-        assert (K, H, P) == (0x616161, 0x808080, 0x1F1F1F)
-        # Every byte of a + b in [0, 2p - 2] reduces mod p without carries.
-        a, b = encode((30, 0, 30)), encode((30, 30, 0))
-        t = a + b
-        assert decode(t - (((t + K) & H) >> 7) * 31, 3) == (29, 30, 30)
