@@ -28,6 +28,11 @@ from .fpgroup import (
 )
 from .setops import VecSet
 
+# Largest number of subgroup elements, C(n, k)_p * p^(n - k), that
+# meets_all_subgroups_oracle spans and looks up at one level: about 1.5 s on
+# one core.
+MAX_ORACLE_ELEMENTS = 2**24
+
 
 @dataclass(frozen=True)
 class DeficiencyReport:
@@ -70,7 +75,7 @@ def bohr_deficiency(S: VecSet, k_max: int, set_id: str = "") -> DeficiencyReport
     """
     if not 1 <= k_max <= S.n:
         raise ValueError(f"k_max={k_max} must lie in [1, {S.n}]")
-    points = [v.coords for v in S.elements]
+    points = S.rows()
     rows = dual_rows(S.p, S.n)
     counts: dict[int, int] = {}
 
@@ -121,8 +126,14 @@ def meets_all_subgroups_oracle(S: VecSet, k: int) -> bool:
         raise ValueError(f"k={k} out of range [0, {n}]")
     if p**n > 2**14:
         raise ResourceGuardError("oracle requires p^n <= 2^14 for exhaustive listing")
-    if gaussian_binomial(n, k, p) > MAX_SUBGROUPS:
+    count = gaussian_binomial(n, k, p)
+    if count > MAX_SUBGROUPS:
         raise ResourceGuardError(f"C({n}, {k})_{p} subgroups exceeds the per-level bound 2^22")
+    if count * p ** (n - k) > MAX_ORACLE_ELEMENTS:
+        raise ResourceGuardError(
+            f"C({n}, {k})_{p} * {p}^{n - k} = {count * p ** (n - k)} subgroup elements "
+            "exceeds the oracle bound 2^24"
+        )
     member = np.zeros(p**n, dtype=bool)
     member[lex_index(S.rows(), p)] = True
     for block in _subspace_bases(p, n, n - k):

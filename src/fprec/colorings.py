@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fpgroup import DualVec, FpVec, Subgroup, chunk_slices
+from .fpgroup import DualVec, Subgroup, chunk_slices
 from .setops import VecSet
 
 INFINITE = float("inf")
@@ -59,7 +59,7 @@ class Graph:
 class CayleyGraph:
     """Cay(V, S): vertices V, with g ~ g' iff g - g' or g' - g lies in S."""
 
-    vertices: tuple[FpVec, ...]
+    vertices: VecSet
     connection: VecSet
     graph: Graph
 
@@ -71,30 +71,24 @@ class CayleyGraph:
 def build_cayley(V: VecSet, S: VecSet) -> CayleyGraph:
     """Build Cay(V, S) with deterministic (sorted) vertex order.
 
-    Each vertex is one fixed-width byte key, its uint8 coordinate row, so the
-    sorted vertices' keys ascend.  Every vertex x is probed at x + s for each
-    nonzero s in S and -S by np.searchsorted, a chunk of vertices at a time:
-    |V| * |S u -S| binary searches.
+    Every vertex x is probed at x + s for each nonzero s in S and -S by
+    V.positions, a binary search of V's byte keys, a chunk of vertices at a
+    time: |V| * |S u -S| binary searches.
     """
     if V.p != S.p or V.n != S.n:
         raise ValueError("vertex set and connection set live in different groups")
-    verts, p, n = V.elements, V.p, V.n
-    edges = [(i, i) for i in range(len(verts))] if S.contains_zero() else []
-    nonzero = sorted({c for s in S if not s.is_zero() for c in (s.coords, (-s).coords)})
-    # Only n >= 1 has a nonzero shift, so no key is 0 bytes wide.
-    if nonzero and verts:
-        D = np.array(nonzero, dtype=np.uint8)
-        key = np.dtype((np.bytes_, n))
-        X = V.rows()
-        keys = X.view(key).ravel()
-        for sl in chunk_slices(len(keys), len(D) * n):
+    p, n, X = V.p, V.n, V.rows()
+    edges = [(i, i) for i in range(len(V))] if S.contains_zero() else []
+    shifts = S.rows()[S.rows().any(axis=1)]
+    D = VecSet.from_rows(p, n, np.concatenate([shifts, (p - shifts) % p])).rows()
+    # Only n >= 1 has a nonzero shift.
+    if len(D) and len(V):
+        for sl in chunk_slices(len(X), len(D) * n):
             # Every entry of x + s lies in [0, 2p - 2] <= 60, so uint8 holds it.
-            probes = ((X[sl, None] + D) % np.uint8(p)).view(key)[..., 0]
-            j = np.searchsorted(keys, probes)
-            hit = keys[np.minimum(j, len(keys) - 1)] == probes
-            i, s = np.nonzero(hit & (j > np.arange(len(keys))[sl, None]))
+            j = V.positions((X[sl, None] + D) % np.uint8(p))
+            i, s = np.nonzero(j > np.arange(len(X))[sl, None])
             edges.extend(zip((i + sl.start).tolist(), j[i, s].tolist()))
-    return CayleyGraph(verts, S, Graph.from_edges(len(verts), edges))
+    return CayleyGraph(V, S, Graph.from_edges(len(V), edges))
 
 
 def _as_graph(g: Graph | CayleyGraph) -> Graph:

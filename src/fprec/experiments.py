@@ -88,9 +88,7 @@ class ExperimentReport:
 
 
 def _vecset_digest(S: VecSet) -> str:
-    body = f"p={S.p} n={S.n};" + ";".join(
-        ",".join(str(c) for c in v.coords) for v in S.elements
-    )
+    body = f"p={S.p} n={S.n};" + ";".join(",".join(map(str, r)) for r in S.rows().tolist())
     return digest_of_text(body)
 
 
@@ -194,7 +192,7 @@ def _avoiding_subgroups(
     one (m, k, n) array per scanned level, where k_used is k_max cut to the
     levels that fit in the budget; returns (found, tested, k_used)."""
     p, n = E_fam.p, E_fam.n
-    points = [v.coords for v in E_fam.elements]
+    points = E_fam.rows()
     k_used = max(0, min(k_max, _feasible_k_max(p, n, budget)))
     if not k_used:
         return [], 0, 0
@@ -297,7 +295,7 @@ def run_bridge_roundtrip(
     labels = labels[_monochromatic(labels, edges) < 0]
     meets = np.ones(len(labels), dtype=bool)
     rows, level = _cell_indicators(labels)
-    for _, hits in scan_avoiding(rows, [level], [[v.coords for v in E_fam.elements]], p):
+    for _, hits in scan_avoiding(rows, [level], [E_fam.rows()], p):
         meets[hits] = False
     violations = [
         f"uniform family: subgroup from partition {_cells(labels[i])} "

@@ -9,6 +9,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .fpgroup import FpVec
 from .colorings import Hypergraph
 from .setops import VecSet
@@ -60,10 +62,10 @@ def weight_d_set(p: int, n: int, d: int) -> VecSet:
     """All 0/1 vectors of weight d in F_p^n: the indicator vectors e_F, |F| = d."""
     if not 0 < d <= n:
         raise ValueError(f"d={d} out of range (0, {n}]")
-    vecs = []
-    for support in itertools.combinations(range(n), d):
-        vecs.append(FpVec(p, tuple(1 if i in support else 0 for i in range(n))))
-    return VecSet(p, n, tuple(vecs))
+    supports = np.array(list(itertools.combinations(range(n), d)))
+    X = np.zeros((len(supports), n), dtype=np.uint8)
+    X[np.arange(len(supports))[:, None], supports] = 1
+    return VecSet.from_rows(p, n, X)
 
 
 def e_of(F: Iterable[int], p: int, n: int) -> FpVec:
@@ -78,7 +80,11 @@ def e_of(F: Iterable[int], p: int, n: int) -> FpVec:
 
 def family_indicator_set(fam: Hypergraph, p: int) -> VecSet:
     """{e_F : F an edge of fam} inside F_p^N."""
-    return VecSet(p, fam.n, tuple(e_of(e, p, fam.n) for e in fam.edges))
+    # Hypergraph keeps every vertex of an edge inside [1, N], once.
+    X = np.zeros((len(fam.edges), fam.n), dtype=np.uint8)
+    sizes = [len(e) for e in fam.edges]
+    X[np.repeat(np.arange(len(sizes)), sizes), [v - 1 for e in fam.edges for v in e]] = 1
+    return VecSet.from_rows(p, fam.n, X)
 
 
 def ap3_hypergraph(N: int) -> Hypergraph:

@@ -7,8 +7,10 @@ import re
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .colorings import Graph, Hypergraph
-from .fpgroup import MAX_VERTICES, FpVec, ResourceGuardError, check_prime
+from .fpgroup import MAX_VERTICES, ResourceGuardError, check_prime
 from .setops import VecSet
 
 
@@ -45,14 +47,14 @@ def _read_rows(
         if not ln.strip():
             continue
         try:
-            row = [int(tok) for tok in ln.split()]
+            row = list(map(int, ln.split()))
         except ValueError:
             raise ValueError(
                 f"{path}: line {lineno}: non-integer token in {ln.strip()!r}"
             ) from None
         if expected is not None and len(row) != expected:
             raise ValueError(f"{path}: line {lineno}: {len(row)} values, expected {expected}")
-        if bounds and not all(lo <= x <= hi for x in row):
+        if bounds and (min(row) < lo or max(row) > hi):
             raise ValueError(f"{path}: line {lineno}: values must lie in [{lo}, {hi}]")
         rows.append(row)
     return values, rows
@@ -60,7 +62,7 @@ def _read_rows(
 
 def write_vecset(S: VecSet, path: str | Path) -> None:
     lines = [f"# p={S.p} n={S.n}"]
-    lines.extend(" ".join(str(c) for c in v.coords) for v in S.elements)
+    lines.extend(" ".join(map(str, r)) for r in S.rows().tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -72,7 +74,7 @@ def read_vecset(path: str | Path) -> VecSet:
         check_prime(p)
     except ValueError as exc:
         raise ValueError(f"{path}: line 1: {exc}") from None
-    return VecSet(p, n, tuple(FpVec(p, tuple(row)) for row in rows))
+    return VecSet.from_rows(p, n, np.array(rows, dtype=np.uint8).reshape(len(rows), n))
 
 
 def write_hypergraph(hg: Hypergraph, path: str | Path) -> None:

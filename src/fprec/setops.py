@@ -11,40 +11,73 @@ sorted and duplicate-free.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import InitVar, dataclass
+from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .fpgroup import (
     FpMatrix,
     FpVec,
-    all_vectors,
     check_order,
+    check_prime,
     chunk_slices,
-    hom_apply,
     lex_coords,
     lex_index,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VecSet:
-    """An ordered, duplicate-free set of vectors sharing (p, n)."""
+    """A duplicate-free set of vectors of F_p^n, stored as its coordinate
+    rows: one read-only (m, n) uint8 array in lex order, which is byte order
+    as p <= 31, so each row is also a fixed-width byte key.
+
+    VecSet(p, n, vectors) takes FpVec elements; VecSet.from_rows(p, n, X)
+    takes an (m, n) integer array of coordinates in [0, p).  Either may hold
+    repeats and come in any order.
+    """
 
     p: int
     n: int
-    elements: tuple[FpVec, ...]
+    vectors: InitVar[Iterable[FpVec] | np.ndarray]
 
-    def __post_init__(self):
-        elems = tuple(sorted(set(self.elements), key=lambda v: v.coords))
-        for v in elems:
-            if v.p != self.p or v.n != self.n:
+    def __post_init__(self, vectors):
+        check_prime(self.p)
+        if isinstance(vectors, np.ndarray):
+            X = vectors
+            if X.ndim != 2 or X.shape[1] != self.n or X.dtype.kind not in "iu":
                 raise ValueError(
-                    f"element (p={v.p}, n={v.n}) does not match set (p={self.p}, n={self.n})"
+                    f"rows of {X.dtype} and shape {X.shape} are not vectors of F_{self.p}^{self.n}"
                 )
-        object.__setattr__(self, "elements", elems)
+            if X.size and (X.min() < 0 or X.max() >= self.p):
+                raise ValueError(f"row entries must lie in [0, {self.p - 1}]")
+        else:
+            vecs = tuple(vectors)
+            for v in vecs:
+                if v.p != self.p or v.n != self.n:
+                    raise ValueError(
+                        f"element (p={v.p}, n={v.n}) does not match set (p={self.p}, n={self.n})"
+                    )
+            X = np.array([v.coords for v in vecs], dtype=np.uint8).reshape(len(vecs), self.n)
+        X = np.ascontiguousarray(X, dtype=np.uint8)
+        if self.n == 0:
+            X = X[:1].copy()  # F_p^0 has one point, the empty vector
+        else:
+            # A stable sort of the byte keys, then a neighbour compare.
+            keys = np.sort(X.view(self._key).ravel(), kind="stable")
+            new = np.ones(len(keys), dtype=bool)
+            new[1:] = keys[1:] != keys[:-1]
+            X = keys[new].view(np.uint8).reshape(-1, self.n)
+        X.flags.writeable = False
+        object.__setattr__(self, "_rows", X)
+
+    @classmethod
+    def from_rows(cls, p: int, n: int, X: np.ndarray) -> VecSet:
+        """The set of the rows of X; ValueError for a shape other than
+        (m, n) or an entry outside [0, p)."""
+        return cls(p, n, np.asarray(X))
 
     @classmethod
     def empty(cls, p: int, n: int) -> VecSet:
@@ -52,28 +85,60 @@ class VecSet:
 
     @classmethod
     def full(cls, p: int, n: int) -> VecSet:
-        return cls(p, n, tuple(all_vectors(p, n)))
+        return cls.from_rows(p, n, lex_coords(p, n))
+
+    @property
+    def _key(self) -> np.dtype:
+        return np.dtype((np.void, self.n))
+
+    @cached_property
+    def elements(self) -> tuple[FpVec, ...]:
+        """The vectors in order, as FpVec; built on first use."""
+        return tuple(FpVec(self.p, tuple(r)) for r in self._rows.tolist())
+
+    def rows(self) -> np.ndarray:
+        """The vectors' coordinates in order, one uint8 row each (read-only)."""
+        return self._rows
+
+    def positions(self, X: np.ndarray) -> np.ndarray:
+        """The index in rows() of each coordinate row along the last axis of
+        X, whose entries lie in [0, p), or -1 where that vector is not in the
+        set: one binary search of the byte keys per row."""
+        X = np.ascontiguousarray(X, dtype=np.uint8)
+        if self.n == 0 or not len(self):
+            return np.full(X.shape[:-1], 0 if len(self) else -1)
+        keys = self._rows.view(self._key).ravel()
+        probes = X.view(self._key)[..., 0]
+        j = np.searchsorted(keys, probes)
+        return np.where(keys[np.minimum(j, len(keys) - 1)] == probes, j, -1)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[FpVec]:
         return iter(self.elements)
 
     def __contains__(self, v: FpVec) -> bool:
-        i = bisect_left(self.elements, v)
-        return i < len(self.elements) and self.elements[i] == v
+        if (v.p, v.n) != (self.p, self.n):
+            return False
+        return bool(self.positions(np.array([v.coords], dtype=np.uint8))[0] >= 0)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VecSet):
+            return NotImplemented
+        return (self.p, self.n) == (other.p, other.n) and np.array_equal(self._rows, other._rows)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.n, len(self), self._rows.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"VecSet.from_rows({self.p}, {self.n}, {self._rows.tolist()})"
 
     def contains_zero(self) -> bool:
-        return any(v.is_zero() for v in self.elements)
+        return len(self) > 0 and not self._rows[0].any()
 
     def coord_tuples(self) -> set[tuple[int, ...]]:
-        return {v.coords for v in self.elements}
-
-    def rows(self) -> np.ndarray:
-        """The elements' coordinates in order, one uint8 row each."""
-        coords = [v.coords for v in self.elements]
-        return np.array(coords, dtype=np.uint8).reshape(len(self), self.n)
+        return set(map(tuple, self._rows.tolist()))
 
 
 def distinct_differences(P: np.ndarray, p: int) -> np.ndarray:
@@ -135,8 +200,7 @@ def distinct_sumsets(member: np.ndarray, p: int, n: int, d: int) -> np.ndarray:
 
 
 def _from_member(p: int, n: int, row: np.ndarray) -> VecSet:
-    rows = lex_coords(p, n)[row]
-    return VecSet(p, n, tuple(FpVec(p, tuple(r)) for r in rows.tolist()))
+    return VecSet.from_rows(p, n, lex_coords(p, n)[row])
 
 
 def difference_set(A: VecSet, distinct_only: bool = False) -> VecSet:
@@ -182,6 +246,7 @@ def preimage_intersect(rho: FpMatrix, S: VecSet, E: VecSet) -> VecSet:
         raise ValueError(f"rho expects dimension {rho.cols}, E has dimension {E.n}")
     if rho.rows != S.n:
         raise ValueError(f"rho maps into dimension {rho.rows}, S has dimension {S.n}")
-    target = S.coord_tuples()
-    hits = [x for x in E.elements if hom_apply(rho, x).coords in target]
-    return VecSet(E.p, E.n, tuple(hits))
+    # Entries below 31 keep every sum of products far inside int64.
+    M = np.array(rho.entries, dtype=np.int64).reshape(rho.rows, rho.cols)
+    images = E.rows().astype(np.int64) @ M.T % rho.p
+    return VecSet.from_rows(E.p, E.n, E.rows()[S.positions(images) >= 0])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,18 @@ class TestOracle:
             meets_all_subgroups_oracle(VecSet.empty(2, 20), 1)
         with pytest.raises(ResourceGuardError):
             meets_all_subgroups_oracle(VecSet.empty(2, 14), 7)
+
+    def test_work_guard(self):
+        # 2,794,155 subgroups of 1,024 elements: far past the bound, though
+        # within the p^n and per-level guards.
+        S = weight_d_set(2, 12, 2)
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="oracle bound"):
+            meets_all_subgroups_oracle(S, 2)
+        assert time.perf_counter() - start < 1
+        # A level under the bound still runs: 10,795 subgroups of 64 elements.
+        assert gaussian_binomial(8, 2, 2) * 2**6 <= bohr.MAX_ORACLE_ELEMENTS
+        assert meets_all_subgroups_oracle(weight_d_set(2, 8, 2), 2)
 
     @pytest.mark.parametrize("k", [-1, 4])
     def test_codimension_out_of_range(self, k):

@@ -307,6 +307,26 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["chi"] == 2
 
+    def test_hot_verbs_build_no_fpvec(self, tmp_path, monkeypatch, capsys):
+        # Vector sets are read, built and scanned as uint8 rows, never as
+        # one FpVec per point.
+        v, s = tmp_path / "v.txt", tmp_path / "s.txt"
+        write_vecset(VecSet.full(2, 6), v)
+        write_vecset(weight_d_set(2, 6, 2), s)
+        built = []
+        init = FpVec.__post_init__
+        monkeypatch.setattr(FpVec, "__post_init__", lambda self: built.append(init(self)))
+        for argv in (
+            ["deficiency", "--in", str(s), "--k-max", "3"],
+            ["chi", "--vertices", str(v), "--conn", str(s)],
+            ["exp", "s-square", "--w", "4"],
+        ):
+            assert main(argv) == 0
+            assert len(built) == 0, argv
+        FpVec(2, (1,))
+        assert len(built) == 1
+        capsys.readouterr()
+
     def test_cayley_then_chi_graph_mode(self, tmp_path, capsys):
         v = tmp_path / "v.txt"
         s = tmp_path / "s.txt"

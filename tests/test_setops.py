@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fprec.families import weight_d_set
 from fprec.fpgroup import FpMatrix, FpVec, ResourceGuardError, hom_apply, hom_from_basis_images
 from fprec.setops import (
     VecSet,
@@ -47,6 +48,36 @@ class TestVecSet:
             A = random_vecset(rng, p, n, size)
             for v in [FpVec(p, c) for c in pool] + foreign:
                 assert (v in A) == any(v == e for e in A.elements)
+
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_from_rows_is_canonical(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 31]))
+        n = data.draw(st.integers(0, 12))
+        vector = st.tuples(*[st.integers(0, p - 1)] * n)
+        pool = data.draw(st.lists(vector, min_size=1, max_size=16))
+        rows = data.draw(st.lists(st.sampled_from(pool), max_size=64))
+        dtype = data.draw(st.sampled_from([np.uint8, np.int64]))
+        X = np.array(rows, dtype=dtype).reshape(len(rows), n)
+        A = VecSet.from_rows(p, n, X)
+        B = VecSet(p, n, tuple(FpVec(p, r) for r in rows))
+        assert A == B and hash(A) == hash(B)
+        expected = sorted(set(rows))
+        assert A.rows().dtype == np.uint8
+        assert list(map(tuple, A.rows().tolist())) == expected
+        assert [v.coords for v in A.elements] == expected
+        assert len(A) == len(expected)
+        assert A.contains_zero() == ((0,) * n in expected)
+        assert not A.rows().flags.writeable and not np.shares_memory(A.rows(), X)
+
+    @pytest.mark.parametrize("p,X", [
+        (2, [[0, 2]]), (2, [[0, -1]]), (31, [[31, 0]]),  # entries outside [0, p)
+        (2, [[0, 1, 0]]), (2, [0, 1]), (2, [[[0, 1]]]), (2, [[0.0, 1.0]]),  # not (m, 2) integers
+    ])
+    def test_from_rows_rejects(self, p, X):
+        with pytest.raises(ValueError):
+            VecSet.from_rows(p, 2, np.array(X))
 
 
 class TestDifferenceSet:
@@ -220,6 +251,19 @@ class TestPreimageIntersect:
             assert len(out) <= len(E)
             for x in out:
                 assert hom_apply(rho, x) in S
+
+    @pytest.mark.parametrize("p,m,n,d", [(2, 6, 3, 2), (2, 8, 2, 4), (3, 6, 2, 3), (3, 5, 3, 3),
+                                         (5, 4, 2, 2), (7, 3, 2, 1)])
+    def test_matches_per_element_reference(self, p, m, n, d):
+        rng = random.Random(f"{p}-{m}-{n}-{d}")
+        for _ in range(6):
+            cols = [FpVec(p, tuple(rng.randrange(p) for _ in range(n))) for _ in range(m)]
+            rho = hom_from_basis_images(cols)
+            S = random_vecset(rng, p, n, rng.randrange(p**n + 1))
+            targets = S.coord_tuples()
+            for E in (weight_d_set(p, m, d), random_vecset(rng, p, m, rng.randrange(40))):
+                expected = [x for x in E.elements if hom_apply(rho, x).coords in targets]
+                assert preimage_intersect(rho, S, E) == VecSet(p, m, tuple(expected))
 
     def test_mismatch_raises(self):
         with pytest.raises(ValueError):
