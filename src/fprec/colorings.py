@@ -73,22 +73,29 @@ def build_cayley(V: VecSet, S: VecSet) -> CayleyGraph:
 
     Every vertex x is probed at x + s for each nonzero s in S and -S by
     V.positions, a binary search of V's byte keys, a chunk of vertices at a
-    time: |V| * |S u -S| binary searches.
+    time: |V| * |S u -S| binary searches.  As S u -S is symmetric, row x of
+    the probe matrix holds every neighbour of x, so it is x's adjacency.
     """
     if V.p != S.p or V.n != S.n:
         raise ValueError("vertex set and connection set live in different groups")
     p, n, X = V.p, V.n, V.rows()
-    edges = [(i, i) for i in range(len(V))] if S.contains_zero() else []
+    loops = frozenset(range(len(V))) if S.contains_zero() else frozenset()
     shifts = S.rows()[S.rows().any(axis=1)]
     D = VecSet.from_rows(p, n, np.concatenate([shifts, (p - shifts) % p])).rows()
-    # Only n >= 1 has a nonzero shift.
-    if len(D) and len(V):
-        for sl in chunk_slices(len(X), len(D) * n):
-            # Every entry of x + s lies in [0, 2p - 2] <= 60, so uint8 holds it.
-            j = V.positions((X[sl, None] + D) % np.uint8(p))
-            i, s = np.nonzero(j > np.arange(len(X))[sl, None])
-            edges.extend(zip((i + sl.start).tolist(), j[i, s].tolist()))
-    return CayleyGraph(V, S, Graph.from_edges(len(V), edges))
+    if not len(D):  # n = 0, or S holds no nonzero shift
+        return CayleyGraph(V, S, Graph(len(V), (frozenset(),) * len(V), loops))
+    adj: list[frozenset[int]] = []
+    for sl in chunk_slices(len(X), len(D) * n):
+        # Every entry of x + s lies in [0, 2p - 2] <= 60, so uint8 holds it,
+        # and y - p wraps to 225 or more exactly when y < p: the minimum is y mod p.
+        Y = X[sl, None] + D
+        np.minimum(Y, Y - np.uint8(p), out=Y)
+        j = V.positions(Y)
+        hit = j >= 0
+        cols = j[hit].tolist()
+        ends = np.cumsum(hit.sum(axis=1)).tolist()
+        adj.extend(frozenset(cols[a:b]) for a, b in zip([0] + ends, ends))
+    return CayleyGraph(V, S, Graph(len(V), tuple(adj), loops))
 
 
 def _as_graph(g: Graph | CayleyGraph) -> Graph:
@@ -410,8 +417,18 @@ def verify(witness, against) -> tuple[bool, object]:
         graph = _as_graph(against)
         if len(witness) != graph.n:
             raise ValueError("coloring does not cover the vertex set")
-        for u, v in graph.edges():
-            if witness[u] == witness[v]:
-                return False, (u, v)
-        return True, None
+        # Every edge (u, v), u < v, from the neighbour arrays, checked at once.
+        # The counterexample is the least in edges() order, keyed u * n + v,
+        # self-loops included; no edge has a key of n * n or more.
+        n = graph.n
+        deg = np.fromiter(map(len, graph.adj), dtype=np.intp, count=n)
+        v = np.fromiter(itertools.chain.from_iterable(graph.adj), dtype=np.intp, count=deg.sum())
+        u = np.repeat(np.arange(n), deg)
+        colors = np.asarray(witness)
+        bad = (u < v) & (colors[u] == colors[v])
+        key = min(
+            int((u[bad] * n + v[bad]).min(initial=n * n)),
+            min(graph.self_loops, default=n) * (n + 1),
+        )
+        return (True, None) if key == n * n else (False, divmod(key, n))
     raise ValueError(f"cannot verify against {type(against).__name__}")

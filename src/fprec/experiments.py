@@ -128,7 +128,7 @@ def exp_s_square(W: int) -> ExperimentReport:
     results = {
         "chi": _chi_json(chi),
         "num_vertices": len(V),
-        "num_edges": len(cay.graph.edges()),
+        "num_edges": sum(map(len, cay.graph.adj)) // 2 + len(cay.graph.self_loops),
         "component_histogram": dict(sorted(histogram.items())),
         "coloring": list(coloring) if coloring is not None else None,
     }

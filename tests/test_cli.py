@@ -1,16 +1,20 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fprec import experiments
+from fprec import experiments, fileio
 from fprec.cli import build_parser, main
 from fprec.bohr import bohr_deficiency, meets_all_subgroups_oracle
 from fprec.colorings import (
@@ -42,6 +46,16 @@ class TestFileFormats:
         write_vecset(S, path)
         assert path.read_text().splitlines()[0] == "# p=3 n=4"
         assert read_vecset(path) == S
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("make", [VecSet.full, VecSet.empty])
+    def test_vecset_roundtrip_dimension_zero(self, p, make, tmp_path):
+        # F_p^0 = {()}: its one point is a blank line after the header.
+        S = make(p, 0)
+        path = tmp_path / "s.txt"
+        write_vecset(S, path)
+        assert path.read_text() == f"# p={p} n=0\n" + "\n" * len(S)
+        assert read_vecset(path) == S and len(read_vecset(path)) == len(S)
 
     def test_hypergraph_roundtrip(self, tmp_path):
         hg = ap3_hypergraph(6)
@@ -263,6 +277,122 @@ def test_vecset_exit_code_contract(verb, data):
             else:
                 chi = chromatic_number_bruteforce(g)
                 assert json.loads(out.read_text())["chi"] == ("inf" if chi == INFINITE else chi)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def vecset_spellings(draw):
+    """The text of a vector-set file as people write it, and the 1-based line
+    of its one fault, if any: tabs, runs of spaces, blank lines, no final
+    newline, and tokens that int() reads but are not canonical decimals."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 31]))
+    n = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=6))
+    fault = draw(st.sampled_from([None, None, "width", "non-integer", "out-of-range", "non-prime"]))
+    bad = None
+    if fault in ("width", "non-integer", "out-of-range"):
+        bad = draw(st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1))
+        if fault == "width":
+            bad = bad if n <= 1 or draw(st.booleans()) else bad[2:]
+        elif fault == "non-integer":
+            bad[-1] = draw(st.sampled_from(NON_INTEGERS))
+        else:
+            bad = bad[1:] or [0]
+            # p..30 are in the one-pass parse's table; the rest are not.
+            far = st.sampled_from([-1, 31, 10**30, -(10**30)])
+            bad[-1] = draw(st.one_of(st.integers(p, 30), far) if p < 31 else far)
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+
+    plain = draw(st.booleans())
+
+    def spell(v):
+        if plain or not isinstance(v, int):
+            return str(v)
+        forms = [str(v), f"+{v}", f"0{v}", str(v).translate(ARABIC_INDIC)]
+        return draw(st.sampled_from(forms + ["-0"] * (v == 0)))
+
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    # A header p that is not a prime, yet bounds every row above.
+    non_primes = [q for q in (4, 6, 9, 15, 32, 33) if q > p]
+    header_p = draw(st.sampled_from(non_primes)) if fault == "non-prime" else p
+    lines = [f"# p={header_p} n={n}"]
+    bad_line = 1 if fault == "non-prime" else None
+    for row in rows:
+        if n and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))  # a blank line, not a row
+        if row is bad:
+            bad_line = len(lines) + 1
+        line = "".join(draw(gap) + spell(v) for v in row)
+        lines.append(line.lstrip() if draw(st.booleans()) else line)
+    text = "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+    return text, bad_line
+
+
+@given(vecset_spellings())
+@settings(max_examples=300, deadline=None)
+def test_vecset_parse_matches_line_loop(case):
+    """read_vecset's one-pass parse gives the rows, the exit code and the
+    error message of the per-line loop, which is the only source of errors."""
+    text, bad_line = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "in.txt", Path(tmp) / "out.txt"
+        path.write_text(text)
+        (p, n), lines = fileio._read_header(path, ("p", "n"))
+        fast = fileio._coordinate_rows(lines, n, p)
+        try:
+            rows = fileio._read_rows(path, lines, (0, p - 1), width=n)
+        except ValueError:
+            assert fast is None and bad_line not in (None, 1)
+        else:
+            assert bad_line in (None, 1)
+            if fast is not None:
+                assert fast.dtype == np.uint8 and fast.tolist() == rows
+
+        def run():
+            argv = ["cayley", "--vertices", str(path), "--conn", str(path), "--out", str(out)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error")]
+            return code, errors, out.read_bytes() if code == 0 else b""
+
+        results = [run()]
+        with mock.patch.object(fileio, "_coordinate_rows", lambda lines, n, p: None):
+            results.append(run())
+        assert results[0] == results[1]
+        code, errors, _ = results[0]
+        assert code == (0 if bad_line is None else 2)
+        if bad_line is not None:
+            assert errors == [errors[0]] and f"in.txt: line {bad_line}: " in errors[0]
+
+
+def test_vecset_parse_error_texts(tmp_path, capsys):
+    # Values beyond int64 and non-canonical tokens take the per-line loop.
+    cases = {
+        "# p=3 n=2\n0 1\n2 1000000000000000000000000000000\n": "line 3: values must lie in [0, 2]",
+        "# p=3 n=2\n+1 02\n\n\t-0  ٢ \n": None,
+        "# p=3 n=2\n0 1\n1 2 0": "line 3: 3 values, expected 2",
+    }
+    for text, error in cases.items():
+        path = tmp_path / "v.txt"
+        path.write_text(text)
+        assert main(["chi", "--vertices", str(path), "--conn", str(path)]) == (2 if error else 0)
+        err = capsys.readouterr().err
+        assert (error in err) if error else "error" not in err
+        if not error:
+            assert read_vecset(path).coord_tuples() == {(1, 2), (0, 2)}
+
+
+def test_graph_files_read_as_python_ints(tmp_path):
+    g_path, h_path = tmp_path / "g.txt", tmp_path / "h.txt"
+    g_path.write_text("# vertices=4\n0 1\n2 2\n1 3\n")
+    h_path.write_text("# N=4\n1 2\n2 3 4\n")
+    g, hg = read_graph(g_path), read_hypergraph(h_path)
+    assert {type(v) for a in g.adj for v in a} | {type(v) for v in g.self_loops} == {int}
+    assert {type(v) for e in hg.edges for v in e} == {int}
+    assert json.dumps(sorted(map(sorted, hg.edges))) == "[[1, 2], [2, 3, 4]]"
 
 
 def test_chi_graph_deep_search(tmp_path, capsys):

@@ -550,3 +550,30 @@ class TestVerify:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             verify((1,), vs(2, 1, (1,)))
+
+    def test_counterexample_matches_edge_loop(self):
+        """The least monochromatic edge of sorted(edges()), self-loops
+        included, as the per-edge loop found it, or (True, None)."""
+
+        def verify_by_edge_loop(coloring, g):
+            for u, v in sorted(g.edges()):
+                if coloring[u] == coloring[v]:
+                    return False, (u, v)
+            return True, None
+
+        rng = random.Random("verify-counterexample")
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(0, 24)
+            g = random_graph(rng, n, rng.random())
+            loops = [(v, v) for v in range(n) if rng.random() < rng.choice([0, 0.05, 0.3])]
+            g = Graph.from_edges(n, g.edges() + loops)
+            if not g.self_loops and rng.random() < 0.3:
+                coloring = chromatic_number_exact(g)[1]
+            else:
+                coloring = tuple(rng.randint(1, rng.randint(1, 6)) for _ in range(n))
+            got = verify(coloring, g)
+            assert got == verify_by_edge_loop(coloring, g)
+            assert got[1] is None or all(type(x) is int for x in got[1])
+            outcomes.add((got[0], bool(got[1]) and got[1][0] == got[1][1]))
+        assert outcomes == {(True, False), (False, False), (False, True)}
