@@ -14,14 +14,12 @@ from typing import Iterator
 import numpy as np
 
 from .fpgroup import (
-    MAX_SUBGROUPS,
     FpMatrix,
-    ResourceGuardError,
     Subgroup,
     annihilator_level,
+    check_bound,
     chunk_slices,
     dual_rows,
-    gaussian_binomial,
     lex_index,
     scan_avoiding,
     span,
@@ -124,16 +122,10 @@ def meets_all_subgroups_oracle(S: VecSet, k: int) -> bool:
     p, n = S.p, S.n
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range [0, {n}]")
-    if p**n > 2**14:
-        raise ResourceGuardError("oracle requires p^n <= 2^14 for exhaustive listing")
-    count = gaussian_binomial(n, k, p)
-    if count > MAX_SUBGROUPS:
-        raise ResourceGuardError(f"C({n}, {k})_{p} subgroups exceeds the per-level bound 2^22")
-    if count * p ** (n - k) > MAX_ORACLE_ELEMENTS:
-        raise ResourceGuardError(
-            f"C({n}, {k})_{p} * {p}^{n - k} = {count * p ** (n - k)} subgroup elements "
-            "exceeds the oracle bound 2^24"
-        )
+    # These two bounds hold every level to at most 2^22 subgroups.
+    check_bound(f"p^n = {p}^{n}", "oracle listing bound 2^14", 2**14, p=p, e=n)
+    what = f"C({n}, {k})_{p} * {p}^{n - k} subgroup elements"
+    check_bound(what, "oracle bound 2^24", MAX_ORACLE_ELEMENTS, p=p, e=n - k, n=n, k=k)
     member = np.zeros(p**n, dtype=bool)
     member[lex_index(S.rows(), p)] = True
     for block in _subspace_bases(p, n, n - k):

@@ -26,7 +26,6 @@ from .experiments import (
     exp_s_square,
     run_bridge_roundtrip,
 )
-from .families import weight_d_set
 from .fileio import (
     read_graph,
     read_hypergraph,
@@ -68,9 +67,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _lift_transfer(a: argparse.Namespace) -> ExperimentReport:
-    m = a.m if a.m is not None else a.p**a.n
-    S = read_vecset(a.set) if a.set else weight_d_set(a.p, a.n, min(a.p, a.n))
-    report = exp_lift_transfer(a.p, a.d, a.n, m, S, seed=a.seed)
+    report = exp_lift_transfer(a.p, a.d, a.n, a.m, read_vecset(a.set) if a.set else None, a.seed)
     if a.set:
         report.input_digests["S_file"] = sha256_of_file(a.set)
     return report

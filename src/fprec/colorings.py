@@ -275,30 +275,42 @@ def _classify_component(graph: Graph, comp: list[int]) -> str:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Vertices 1..N and a set of edges, each a set of vertex indices."""
+    """Vertices 1..N and edges in one canonical order: the sorted tuple of
+    the distinct edges, each the sorted tuple of its vertices, so equal
+    hypergraphs iterate their edges alike."""
 
     n: int
-    edges: frozenset[frozenset[int]]
+    edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        for e in self.edges:
-            if not e or not all(1 <= v <= self.n for v in e):
-                raise ValueError(f"edge {sorted(e)} not inside [1, {self.n}]")
+        edges = tuple(sorted({tuple(sorted(set(e))) for e in self.edges}))
+        for e in edges:
+            if not e or not (1 <= e[0] and e[-1] <= self.n):
+                raise ValueError(f"edge {list(e)} not inside [1, {self.n}]")
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edge_lists(cls, n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-        return cls(n, frozenset(frozenset(e) for e in edges))
+        return cls(n, edges)
 
 
-def _monochromatic_edge(hg: Hypergraph, coloring: Coloring) -> frozenset[int] | None:
-    for e in hg.edges:
-        it = iter(e)
-        c0 = coloring[next(it) - 1]
-        if all(coloring[v - 1] == c0 for v in it):
-            return e
-    return None
+def _monochromatic(labels: np.ndarray, edges: Sequence[Sequence[int]]) -> np.ndarray:
+    """The one monochromatic-edge check: per row of labels (vertex v's label in
+    column v - 1), the index of the first edge whose vertices all share a
+    label, or -1 if there is none."""
+    first = np.full(len(labels), -1)
+    if not edges:
+        return first
+    width = max(map(len, edges))
+    # Padding an edge with its own first vertex leaves "all labels equal" as is.
+    idx = np.array([[v - 1 for v in e] + [e[0] - 1] * (width - len(e)) for e in edges])
+    for rows in chunk_slices(len(labels), idx.size):
+        L = labels[rows][:, idx]
+        mono = (L == L[:, :, :1]).all(axis=2)
+        first[rows] = np.where(mono.any(axis=1), mono.argmax(axis=1), -1)
+    return first
 
 
 def proper_partitions(hg: Hypergraph, r: int) -> Iterator[Coloring]:
@@ -310,7 +322,7 @@ def proper_partitions(hg: Hypergraph, r: int) -> Iterator[Coloring]:
         return
     by_last: dict[int, list[list[int]]] = {}
     for e in hg.edges:
-        *rest, last = sorted(v - 1 for v in e)
+        *rest, last = (v - 1 for v in e)
         by_last.setdefault(last, []).append(rest)
     colors: list[int] = []
     used = [0]  # used[v]: the largest color among colors[:v]
@@ -356,7 +368,7 @@ def hypergraph_chromatic_bruteforce(hg: Hypergraph) -> int:
         return min(hg.n, 1)
     for r in range(1, hg.n + 1):
         for assignment in itertools.product(range(1, r + 1), repeat=hg.n):
-            if _monochromatic_edge(hg, assignment) is None:
+            if all(len({assignment[v - 1] for v in e}) > 1 for e in hg.edges):
                 return r
     raise AssertionError("unreachable for edges of size >= 2")
 
@@ -373,10 +385,10 @@ def coloring_to_avoiding_subgroup(coloring: Coloring, fam: Hypergraph, p: int) -
         raise ValueError(f"coloring has {len(coloring)} colors for N={fam.n} vertices")
     for e in fam.edges:
         if len(e) % p != 0:
-            raise ValueError(f"edge {sorted(e)} has size not divisible by p={p}")
-    bad = _monochromatic_edge(fam, coloring)
-    if bad is not None:
-        raise ValueError(f"edge {sorted(bad)} is monochromatic under the coloring")
+            raise ValueError(f"edge {list(e)} has size not divisible by p={p}")
+    bad = _monochromatic(np.array([coloring]), fam.edges)[0]
+    if bad >= 0:
+        raise ValueError(f"edge {list(fam.edges[bad])} is monochromatic under the coloring")
     rows = [DualVec(p, tuple(int(c == j) for c in coloring)) for j in dict.fromkeys(coloring)]
     return Subgroup.from_dual_vectors(rows, p=p, n=fam.n)
 
@@ -399,13 +411,14 @@ def verify(witness, against) -> tuple[bool, object]:
     """Validate a coloring against a (hyper)graph or a subgroup against a set.
 
     Returns (True, None) or (False, counterexample): an edge (u, v) of a
-    graph, the sorted vertices of a hypergraph edge, or a point of the set.
+    graph, the first monochromatic hypergraph edge in edge order as a
+    sorted list, or a point of the set.
     """
     if isinstance(against, Hypergraph):
         if len(witness) != against.n:
             raise ValueError("coloring does not cover the vertex set")
-        bad = _monochromatic_edge(against, witness)
-        return (bad is None), (sorted(bad) if bad is not None else None)
+        bad = _monochromatic(np.array([witness]), against.edges)[0]
+        return (True, None) if bad < 0 else (False, list(against.edges[bad]))
     if isinstance(against, VecSet):
         if (getattr(witness, "p", None), getattr(witness, "n", None)) != (against.p, against.n):
             raise ValueError(f"witness is not a subgroup of F_{against.p}^{against.n}")

@@ -13,6 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .bohr import bohr_deficiency
 from .colorings import (
     Hypergraph,
     INFINITE,
+    _monochromatic,
     build_cayley,
     chromatic_number_exact,
     components_classify,
@@ -38,11 +40,11 @@ from .families import (
 )
 from .fileio import digest_of_text
 from .fpgroup import (
-    ResourceGuardError,
     all_vectors,
     annihilator_level,
+    check_bound,
+    check_order,
     check_prime,
-    chunk_slices,
     dual_rows,
     gaussian_binomial,
     hom_apply,
@@ -93,15 +95,8 @@ def _vecset_digest(S: VecSet) -> str:
 
 
 def _hypergraph_digest(hg: Hypergraph) -> str:
-    body = f"N={hg.n};" + ";".join(
-        ",".join(str(v) for v in e) for e in sorted(sorted(e) for e in hg.edges)
-    )
+    body = f"N={hg.n};" + ";".join(",".join(map(str, e)) for e in hg.edges)
     return digest_of_text(body)
-
-
-def _guard(condition: bool, message: str) -> None:
-    if not condition:
-        raise ResourceGuardError(message)
 
 
 def exp_s_square(W: int) -> ExperimentReport:
@@ -156,22 +151,6 @@ def _bell(n: int) -> int:
     return row[0]
 
 
-def _monochromatic(labels: np.ndarray, edges: list[list[int]]) -> np.ndarray:
-    """Per row of labels (vertex v's label in column v - 1), the index of the
-    first edge whose vertices all share a label, or -1 if there is none."""
-    first = np.full(len(labels), -1)
-    if not edges:
-        return first
-    width = max(map(len, edges))
-    # Padding an edge with its own first vertex leaves "all labels equal" as is.
-    idx = np.array([[v - 1 for v in e] + [e[0] - 1] * (width - len(e)) for e in edges])
-    for rows in chunk_slices(len(labels), idx.size):
-        L = labels[rows][:, idx]
-        mono = (L == L[:, :, :1]).all(axis=2)
-        first[rows] = np.where(mono.any(axis=1), mono.argmax(axis=1), -1)
-    return first
-
-
 def _cell_indicators(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of labels (counted from 1), the indicator row of each label up
     to the largest, as a (rows, level) pair for scan_avoiding: rows stacks
@@ -205,7 +184,7 @@ def _avoiding_subgroups(
     return found, sum(map(len, levels)), k_used
 
 
-def _induced_violations(A: np.ndarray, edges: list[list[int]], p: int) -> list[str]:
+def _induced_violations(A: np.ndarray, edges: Sequence[Sequence[int]], p: int) -> list[str]:
     """Check the partitions that the k x N annihilators in A induce, vertex v's
     cell given by column v: each must be proper and have at most p^k cells.
 
@@ -223,7 +202,8 @@ def _induced_violations(A: np.ndarray, edges: list[list[int]], p: int) -> list[s
     for i in np.flatnonzero((first >= 0) | (cells > p**k)):
         if first[i] >= 0:
             out.append(
-                f"partition induced by avoiding subgroup has monochromatic edge {edges[first[i]]}"
+                "partition induced by avoiding subgroup has monochromatic edge "
+                f"{list(edges[first[i]])}"
             )
         if cells[i] > p**k:
             out.append(f"induced partition has {cells[i]} cells > p^k = {p**k}")
@@ -265,17 +245,16 @@ def run_bridge_roundtrip(
     indicator set.  In (b) an avoider's labels are its columns coded as
     integers, sum_r A[r, v] p^r.
     """
-    N = hg.n
-    _guard(N <= 12, f"N={N} exceeds the bridge experiment bound 12")
+    N, edges = hg.n, hg.edges
+    check_bound(f"N={N}", "bridge experiment bound 12", 12, times=N)
     if p not in (2, 3, 5):
         raise ValueError(f"p must be one of 2, 3, 5, got {p}")
-    for e in hg.edges:
+    for e in edges:
         if len(e) % p != 0:
-            raise ValueError(f"edge {sorted(e)} has size not divisible by p={p}")
-    uniform = all(len(e) == p for e in hg.edges)
+            raise ValueError(f"edge {list(e)} has size not divisible by p={p}")
+    uniform = all(len(e) == p for e in edges)
     chi = hypergraph_chromatic(hg)
     E_fam = family_indicator_set(hg, p)
-    edges = [sorted(e) for e in hg.edges]
 
     # Direction (a): partitions -> subgroups.
     if _bell(N) <= 5000:
@@ -338,18 +317,19 @@ def exp_ep_roundtrip(p: int, N: int, family: str, seed: int = 0) -> ExperimentRe
     """Bridge roundtrip on a named family: all-pairs, ap3, or gallai squares."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    if family not in ("all-pairs", "ap3", "gallai"):
+        named = "ep-roundtrip needs --family" if family is None else f"unknown family {family!r}"
+        raise ValueError(f"{named}; expected all-pairs, ap3 or gallai")
+    check_bound(f"N={N}", "bridge experiment bound 12", 12, times=N)
     if family == "all-pairs":
         hg = Hypergraph.from_edge_lists(N, itertools.combinations(range(1, N + 1), 2))
     elif family == "ap3":
         hg = ap3_hypergraph(N)
-    elif family == "gallai":
+    else:
         W = math.isqrt(N)
         if W * W != N:
             raise ValueError(f"gallai family needs a square N, got {N}")
         hg = gallai_square_hypergraph(W)
-    else:
-        named = "ep-roundtrip needs --family" if family is None else f"unknown family {family!r}"
-        raise ValueError(f"{named}; expected all-pairs, ap3 or gallai")
     report = run_bridge_roundtrip(p, hg, seed=seed)
     report.parameters["family"] = family
     report.parameters["N"] = N
@@ -357,22 +337,20 @@ def exp_ep_roundtrip(p: int, N: int, family: str, seed: int = 0) -> ExperimentRe
 
 
 def exp_lift_transfer(
-    p: int,
-    d: int,
-    n: int,
-    m: int,
-    S: VecSet,
-    seed: int = 0,
+    p: int, d: int, n: int, m: int | None = None, S: VecSet | None = None, seed: int = 0
 ) -> ExperimentReport:
-    """Pull S back through a seeded covering homomorphism into the weight-d
-    slice, and report deficiency levels side by side (observational)."""
+    """Pull S (default: weight min(p, n)) back through a seeded covering homomorphism
+    (default m = p^n) into the weight-d slice; report deficiency levels (observational)."""
     if d % p != 0 or d <= 2:
         raise ValueError(f"d must be > 2 and divisible by p, got d={d}, p={p}")
+    check_order(p, n)
+    m = p**n if m is None else m
     if m < p**n:
         raise ValueError(f"m={m} too small for a covering map; need m >= p^n = {p**n}")
+    check_bound(f"C(m, d) = C({m}, {d})", "slice bound 200000", 200_000, n=m, k=d)
+    S = weight_d_set(p, n, min(p, n)) if S is None else S
     if S.p != p or S.n != n:
         raise ValueError("S must live in F_p^n")
-    _guard(math.comb(m, d) <= 200_000, f"C({m}, {d}) exceeds the slice budget")
     rng = random.Random(seed)
     targets = list(all_vectors(p, n))
     rng.shuffle(targets)
@@ -419,6 +397,11 @@ def _feasible_k_max(p: int, n: int, budget: int) -> int:
     return k
 
 
+# Memory for one block of poincare trials: their difference rows, scan
+# points and pairing bits.
+_POINCARE_BLOCK_BYTES = 4 * 2**20
+
+
 def exp_poincare(p: int, n: int, k: int, trials: int, seed: int = 0) -> ExperimentReport:
     """Pigeonhole shadow of the difference-set recurrence theorem.
 
@@ -431,26 +414,38 @@ def exp_poincare(p: int, n: int, k: int, trials: int, seed: int = 0) -> Experime
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _guard(p**n <= 2**14, f"p^n = {p}^{n} exceeds the sampling bound 2^14")
+    check_bound(f"p^n = {p}^{n}", "sampling bound 2^14", 2**14, p=p, e=n)
     U = lex_coords(p, n)
     rows = dual_rows(p, n)
     level = annihilator_level(p, n, k)
     rng = random.Random(seed)
 
     def run_arm(size: int) -> int:
-        # One scan for all trials: trial t fails when some subgroup misses the
-        # differences of its distinct points, point set t of the scan.  A
-        # subgroup holds x exactly when it holds -x, so one sign of each
-        # difference suffices, and each set has at most p^n - 1 points.
-        picks = [rng.sample(range(len(U)), size) for _ in range(trials)]
-        member = distinct_differences(U[picks], p)
-        points = U[member.nonzero()[1]]
-        ends = np.cumsum(member.sum(axis=1)).tolist()
-        sets = [points[lo:hi] for lo, hi in zip([0] + ends, ends)]
-        failed = np.zeros(trials, dtype=bool)
-        for _, hits in scan_avoiding(rows, [level], sets, p):
-            failed[hits % trials] = True
-        return int(failed.sum())
+        # One scan per block of trials: trial t fails when some subgroup
+        # misses the differences of its distinct points, point set t of the
+        # scan.  A subgroup holds x exactly when it holds -x, so one sign of
+        # each difference suffices, and each set has m <= p^n - 1 points.
+        # Blocks hold about _POINCARE_BLOCK_BYTES, so memory does not grow
+        # with the trial count, and draw in the order of one whole-arm draw.
+        # Per trial: its picks (an int object and a coordinate row each),
+        # its difference row (p^n bytes), each point (n bytes) and its
+        # float32 column in the scan (4(n + 1)), and m bits of Z per dual row.
+        m = min(size * (size - 1) // 2, len(U) - 1)
+        per_trial = size * (n + 36) + len(U) + m * (5 * n + 4) + len(rows) * (m // 8 + 1)
+        block = max(1, _POINCARE_BLOCK_BYTES // per_trial)
+        failures = 0
+        for lo in range(0, trials, block):
+            t = min(block, trials - lo)
+            picks = [rng.sample(range(len(U)), size) for _ in range(t)]
+            member = distinct_differences(U[picks], p)
+            points = U[member.nonzero()[1]]
+            ends = np.cumsum(member.sum(axis=1)).tolist()
+            sets = [points[a:b] for a, b in zip([0] + ends, ends)]
+            failed = np.zeros(t, dtype=bool)
+            for _, hits in scan_avoiding(rows, [level], sets, p):
+                failed[hits % t] = True
+            failures += int(failed.sum())
+        return failures
 
     failures = run_arm(p**k + 1)
     observational_failures = run_arm(p**k)
@@ -501,7 +496,7 @@ def exp_profile_scan(
         raise ValueError(f"bad n range {n_range}")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    _guard(p**hi <= 2**12, f"p^n = {p}^{hi} exceeds the scan bound 2^12")
+    check_bound(f"p^n = {p}^{hi}", "scan bound 2^12", 2**12, p=p, e=hi)
     rows = []
     for n in range(lo, hi + 1):
         S_n = _family_set(p, n, family)
@@ -561,11 +556,9 @@ def exp_bog_scan(
         raise ValueError(f"n must be >= 0, got {n}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    _guard(p**n <= 2**12, f"p^n = {p}^{n} exceeds the scan bound 2^12")
-    # Each cover's sumset DP adds every element of F_p^n to up to d layers of
-    # up to p^n sums; 2^18 of that work keeps a cover well under a second.
-    work = p ** (2 * n) * d
-    _guard(work <= 2**18, f"(p^n)^2 * d = {work} exceeds the sumset bound 2^18")
+    # Each cover's sumset DP adds every element of F_p^n to up to d >= 3 layers of up
+    # to p^n sums; 2^18 of that work keeps a cover well under a second, and p^n <= 295.
+    check_bound(f"({p}^{n})^2 * {d} DP steps", "sumset bound 2^18", 2**18, times=d, p=p, e=2 * n)
     U = lex_coords(p, n)
     size = len(U)
     c_max = _feasible_k_max(p, n, budget=20_000)

@@ -115,7 +115,7 @@ def s_square_set(W: int) -> tuple[FinSet, ...]:
     """The same squares as gallai_square_hypergraph, as 4-point group elements."""
     win = LatticeWindow(W)
     out = []
-    for e in sorted(gallai_square_hypergraph(W).edges, key=sorted):
+    for e in gallai_square_hypergraph(W).edges:
         out.append(FinSet(W, frozenset(win.point_at(i) for i in e)))
     return tuple(out)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .colorings import Graph, Hypergraph
-from .fpgroup import MAX_VERTICES, ResourceGuardError, check_prime
+from .fpgroup import MAX_VERTICES, check_bound, check_prime
 from .setops import VecSet
 
 
@@ -29,10 +29,10 @@ def _read_header(
         usage = " ".join(f"{k}=<{k}>" for k in names)
         raise ValueError(f"{path}: line 1: missing '# {usage}' header")
     values = [int(g) for g in m.groups()]
-    if vertex_count and (count := values[names.index(vertex_count)]) > MAX_VERTICES:
-        raise ResourceGuardError(
-            f"{path}: line 1: {vertex_count}={count} exceeds the vertex bound MAX_VERTICES = 2^16"
-        )
+    if vertex_count:
+        count = values[names.index(vertex_count)]
+        what = f"{path}: line 1: {vertex_count}={count}"
+        check_bound(what, "vertex bound MAX_VERTICES = 2^16", MAX_VERTICES, times=count)
     return values, lines[1:]
 
 
@@ -114,7 +114,7 @@ def read_vecset(path: str | Path) -> VecSet:
 
 def write_hypergraph(hg: Hypergraph, path: str | Path) -> None:
     lines = [f"# N={hg.n}"]
-    lines.extend(" ".join(str(v) for v in e) for e in sorted(sorted(e) for e in hg.edges))
+    lines.extend(" ".join(map(str, e)) for e in hg.edges)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -47,9 +47,27 @@ def check_prime(p: int) -> None:
         raise ValueError(f"p must be a prime <= {MAX_PRIME}, got {p}")
 
 
+def check_bound(what: str, bound_name: str, bound: int, *, times=1, p=1, e=0, n=0, k=0) -> None:
+    """The one resource guard: ResourceGuardError("{what} exceeds the {bound_name}") when
+    times * p^e * C(n, k)_p exceeds bound, C(n, k)_1 the ordinary binomial.  Lower bounds,
+    C(n, k)_p >= p^(k(n - k)) and >= n for 0 < k < n, refuse first, then C(n, k)_p grows one
+    ratio C(n, i + 1)_p / C(n, i)_p at a time: no integer much wider than bound is formed."""
+    k = min(k, n - k)
+    bits = bound.bit_length()
+    count = 0 if k < 0 or times == 0 else bound + 1  # refused unless counted below
+    if count and times <= bound and not (k and n > bound) and (p == 1 or e + k * (n - k) < bits):
+        count = times * p**e
+        for i in range(k):
+            up, down = (p ** (n - i) - 1, p ** (i + 1) - 1) if p > 1 else (n - i, i + 1)
+            count = count * up // down
+            if count > bound:
+                break
+    if count > bound:
+        raise ResourceGuardError(f"{what} exceeds the {bound_name}")
+
+
 def check_order(p: int, n: int) -> None:
-    if p**n > MAX_GROUP_ORDER:
-        raise ResourceGuardError(f"p^n = {p}^{n} exceeds the per-run bound 2^24")
+    check_bound(f"p^n = {p}^{n}", "per-run bound 2^24", MAX_GROUP_ORDER, p=p, e=n)
 
 
 @dataclass(frozen=True)
@@ -360,11 +378,7 @@ def chunk_slices(rows: int, row_size: int) -> Iterator[slice]:
 
 
 def _check_level(n: int, k: int, p: int) -> None:
-    count = gaussian_binomial(n, k, p)
-    if count > MAX_SUBGROUPS:
-        raise ResourceGuardError(
-            f"C({n}, {k})_{p} = {count} subgroups exceeds the per-level bound 2^22"
-        )
+    check_bound(f"C({n}, {k})_{p} subgroups", "per-level bound 2^22", MAX_SUBGROUPS, p=p, n=n, k=k)
 
 
 class _ArrayMemo:

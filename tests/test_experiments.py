@@ -8,6 +8,7 @@ import pytest
 
 from fprec.colorings import (
     Hypergraph,
+    _monochromatic,
     characters_to_coloring,
     coloring_to_avoiding_subgroup,
     hypergraph_chromatic,
@@ -18,7 +19,6 @@ from fprec.experiments import (
     _avoiding_subgroups,
     _cell_indicators,
     _induced_violations,
-    _monochromatic,
     exp_bog_scan,
     exp_ep_roundtrip,
     exp_lift_transfer,
@@ -34,6 +34,7 @@ from fprec.families import (
     weight_d_set,
 )
 from fprec import experiments, fpgroup
+from fprec.fileio import write_hypergraph
 from fprec.fpgroup import (
     FpMatrix,
     FpVec,
@@ -228,6 +229,29 @@ class TestEpRoundtrip:
         hg = Hypergraph.from_edge_lists(13, [{1, 2}])
         with pytest.raises(ResourceGuardError):
             run_bridge_roundtrip(2, hg)
+
+    def test_shuffled_edge_lists_give_one_hypergraph(self, tmp_path):
+        # The same edges, listed in shuffled order with shuffled vertices and
+        # repeats, make equal hypergraphs that iterate their edges alike, so
+        # verify names the same counterexample and files and reports match.
+        rng = random.Random(41)
+        for trial in range(300):
+            p, N = rng.choice([(2, 6), (2, 8), (3, 6)])
+            edges = [rng.sample(range(1, N + 1), p) for _ in range(rng.randrange(1, 12))]
+            shuffled = [rng.sample(e, len(e)) for e in edges + rng.sample(edges, len(edges) // 2)]
+            rng.shuffle(shuffled)
+            a = Hypergraph.from_edge_lists(N, edges)
+            b = Hypergraph.from_edge_lists(N, shuffled)
+            assert a == b and hash(a) == hash(b) and a.edges == b.edges
+            assert a.edges == tuple(sorted({tuple(sorted(e)) for e in edges}))
+            for _ in range(5):
+                coloring = tuple(rng.randrange(1, 3) for _ in range(N))
+                assert verify(coloring, a) == verify(coloring, b)
+            if trial % 10 == 0:
+                write_hypergraph(a, tmp_path / "a.txt")
+                write_hypergraph(b, tmp_path / "b.txt")
+                assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+                assert run_bridge_roundtrip(p, a).to_json() == run_bridge_roundtrip(p, b).to_json()
 
     @pytest.mark.parametrize("p, hg", [
         (2, Hypergraph.from_edge_lists(5, itertools.combinations(range(1, 6), 2))),
@@ -443,6 +467,25 @@ class TestPoincare:
         assert results["failures"] == failures
         assert results["observational_failures_at_smaller_size"] == observational
         assert len(sizes) == 2 * trials and max(sizes) <= p**n - 1
+
+
+    # A cap of 1 byte runs one trial per block, and 1,500 bytes 4 or 7 trials
+    # of F_3^3 per block; one block at the default holds every trial.
+    @pytest.mark.parametrize("cap", [1, 1_500])
+    def test_blocks_of_trials_give_the_same_report(self, monkeypatch, cap):
+        calls = []
+
+        def counted_scan(*args):
+            calls.append(len(args[2]))
+            return scan_avoiding(*args)
+
+        monkeypatch.setattr(experiments, "scan_avoiding", counted_scan)
+        whole = exp_poincare(3, 3, 1, 23, seed=9).to_json()
+        assert calls == [23, 23]
+        calls.clear()
+        monkeypatch.setattr(experiments, "_POINCARE_BLOCK_BYTES", cap)
+        assert exp_poincare(3, 3, 1, 23, seed=9).to_json() == whole
+        assert sum(calls) == 2 * 23 and len(calls) > 2
 
 
 class TestProfileScan:
