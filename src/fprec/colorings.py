@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fpgroup import DualVec, Subgroup, chunk_slices
+from .fpgroup import DualVec, FpVec, Subgroup, chunk_slices
 from .setops import VecSet
 
 INFINITE = float("inf")
@@ -422,10 +422,11 @@ def verify(witness, against) -> tuple[bool, object]:
     if isinstance(against, VecSet):
         if (getattr(witness, "p", None), getattr(witness, "n", None)) != (against.p, against.n):
             raise ValueError(f"witness is not a subgroup of F_{against.p}^{against.n}")
-        for s in against.elements:
-            if witness.contains(s):
-                return False, s
-        return True, None
+        # The first point, in set order, that the annihilator sends to 0.
+        A = np.array(witness.annihilator.entries, dtype=np.int64).reshape(witness.codim, against.n)
+        X = against.rows()
+        first = X[~(X @ A.T % against.p).any(axis=1)][:1].tolist()
+        return (False, FpVec(against.p, tuple(first[0]))) if first else (True, None)
     if isinstance(against, (Graph, CayleyGraph)):
         graph = _as_graph(against)
         if len(witness) != graph.n:

@@ -40,15 +40,13 @@ from .families import (
 )
 from .fileio import digest_of_text
 from .fpgroup import (
-    all_vectors,
+    FpMatrix,
     annihilator_level,
     check_bound,
     check_order,
     check_prime,
     dual_rows,
     gaussian_binomial,
-    hom_apply,
-    hom_from_basis_images,
     lex_coords,
     scan_avoiding,
 )
@@ -246,9 +244,9 @@ def run_bridge_roundtrip(
     integers, sum_r A[r, v] p^r.
     """
     N, edges = hg.n, hg.edges
-    check_bound(f"N={N}", "bridge experiment bound 12", 12, times=N)
     if p not in (2, 3, 5):
         raise ValueError(f"p must be one of 2, 3, 5, got {p}")
+    check_bound(f"N={N}", "bridge experiment bound 12", 12, times=N)
     for e in edges:
         if len(e) % p != 0:
             raise ValueError(f"edge {list(e)} has size not divisible by p={p}")
@@ -341,6 +339,7 @@ def exp_lift_transfer(
 ) -> ExperimentReport:
     """Pull S (default: weight min(p, n)) back through a seeded covering homomorphism
     (default m = p^n) into the weight-d slice; report deficiency levels (observational)."""
+    check_prime(p)
     if d % p != 0 or d <= 2:
         raise ValueError(f"d must be > 2 and divisible by p, got d={d}, p={p}")
     check_order(p, n)
@@ -348,17 +347,20 @@ def exp_lift_transfer(
     if m < p**n:
         raise ValueError(f"m={m} too small for a covering map; need m >= p^n = {p**n}")
     check_bound(f"C(m, d) = C({m}, {d})", "slice bound 200000", 200_000, n=m, k=d)
+    check_bound(f"C(m, d) * m = C({m}, {d}) * {m}", "slice entry bound 2^25", 2**25,
+                times=m, n=m, k=d)
     S = weight_d_set(p, n, min(p, n)) if S is None else S
     if S.p != p or S.n != n:
         raise ValueError("S must live in F_p^n")
     rng = random.Random(seed)
-    targets = list(all_vectors(p, n))
-    rng.shuffle(targets)
-    columns = targets + [rng.choice(targets) for _ in range(m - len(targets))]
-    rho = hom_from_basis_images(columns)
+    order = list(range(p**n))
+    rng.shuffle(order)
+    columns = lex_coords(p, n)[order + [rng.choice(order) for _ in range(m - len(order))]]
     E = weight_d_set(p, m, d)
-    S_lift = preimage_intersect(rho, S, E)
-    mapped_ok = all(hom_apply(rho, x) in S for x in S_lift.elements)
+    S_lift = preimage_intersect(FpMatrix(p, columns.T.tolist()), S, E)
+    # Apart from preimage_intersect: a lift point maps to the sum of its d columns.
+    images = columns[S_lift.rows().nonzero()[1].reshape(-1, d)].sum(axis=1, dtype=np.int64) % p
+    mapped_ok = bool((S.positions(images) >= 0).all())
     k_S = _feasible_k_max(p, n, budget=50_000)
     k_lift = _feasible_k_max(p, m, budget=50_000)
     rep_S = bohr_deficiency(S, k_S, "S") if k_S >= 1 else None
@@ -369,7 +371,7 @@ def exp_lift_transfer(
         if rep is not None and rep.witness is not None
     )
     results = {
-        "rho_columns": [list(c.coords) for c in columns],
+        "rho_columns": columns.tolist(),
         "lift_size": len(S_lift),
         "slice_size": len(E),
         "deficiency_S": rep_S.to_dict() if rep_S else None,
@@ -491,6 +493,7 @@ def exp_profile_scan(
     r_max: int,
 ) -> ExperimentReport:
     """Observational sweep: deficiency level vs Cayley chromatic number."""
+    check_prime(p)
     lo, hi = n_range
     if lo > hi or lo < 1:
         raise ValueError(f"bad n range {n_range}")

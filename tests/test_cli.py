@@ -551,6 +551,20 @@ class TestCli:
         assert main(argv) == 2
         assert f"p must be a prime <= 31, got {argv[-1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["0", "1", "4", "-3", "32"])
+    @pytest.mark.parametrize("exp", [
+        ["ep-roundtrip", "--family", "all-pairs"],
+        ["lift-transfer"],
+        ["poincare"],
+        ["profile-scan"],
+        ["bog-scan"],
+    ], ids=lambda exp: exp[0])
+    def test_experiments_validate_p_first(self, exp, p, capsys):
+        # p is checked before d % p and before any bound sized by p.
+        assert main(["exp", *exp, "--p", p]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "p must be" in err
+
     def test_poincare_negative_k_exit_2(self, capsys):
         assert main(["exp", "poincare", "--k", "-1", "--trials", "5"]) == 2
         assert "need 0 <= k < n, got k=-1" in capsys.readouterr().err
@@ -612,6 +626,33 @@ class TestCli:
         assert main(argv) == 2
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdicts"]["deficiency_witnesses_valid"] is False
+
+    def test_lift_transfer_checks_the_lift_maps_into_S(self, monkeypatch, capsys):
+        # A preimage that keeps the whole slice E must fail the lift check,
+        # which does not go through preimage_intersect.
+        monkeypatch.setattr(experiments, "preimage_intersect", lambda rho, S, E: E)
+        report = experiments.exp_lift_transfer(2, 4, 3)
+        assert report.results["lift_size"] == report.results["slice_size"] == 70
+        assert report.verdicts["lift_maps_into_S"] is False
+        assert main(["exp", "lift-transfer", "--p", "2", "--n", "3", "--d", "4"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdicts"]["lift_maps_into_S"] is False
+
+    def test_lift_transfer_builds_no_fpvec(self, tmp_path, monkeypatch, capsys):
+        # rho is a table of uint8 columns and the lift is checked as rows.
+        path = tmp_path / "s.txt"
+        write_vecset(VecSet.from_rows(3, 2, np.array([[1, 2], [0, 1]])), path)
+        built = []
+        init = FpVec.__post_init__
+        monkeypatch.setattr(FpVec, "__post_init__", lambda self: built.append(init(self)))
+        for argv in (
+            ["exp", "lift-transfer", "--p", "2", "--n", "3", "--d", "4", "--m", "20"],
+            ["exp", "lift-transfer", "--p", "3", "--n", "2", "--d", "3", "--m", "30",
+             "--set", str(path)],
+        ):
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["results"]["lift_size"] > 0
+            assert len(built) == 0, argv
 
     def test_tsv_format(self, e1_file, capsys):
         assert main(["deficiency", "--in", e1_file, "--k-max", "1", "--format", "tsv"]) == 0

@@ -30,7 +30,14 @@ from fprec.families import (
     square_connection_set,
     weight_d_set,
 )
-from fprec.fpgroup import FpVec, all_vectors, hom_apply, hom_from_basis_images, rref_rank
+from fprec.fpgroup import (
+    FpVec,
+    Subgroup,
+    all_vectors,
+    hom_apply,
+    hom_from_basis_images,
+    rref_rank,
+)
 from fprec.setops import VecSet
 
 
@@ -577,3 +584,44 @@ class TestVerify:
             assert got[1] is None or all(type(x) is int for x in got[1])
             outcomes.add((got[0], bool(got[1]) and got[1][0] == got[1][1]))
         assert outcomes == {(True, False), (False, False), (False, True)}
+
+    @pytest.mark.parametrize("p, n", [(2, 0), (3, 0), (2, 1), (2, 4), (3, 3), (5, 2), (7, 2)])
+    def test_subgroup_matches_contains_loop(self, p, n, monkeypatch):
+        """verify(H, S) answers as the per-point Subgroup.contains loop: the
+        first point of S, in S's order, inside H, or (True, None).  It calls
+        no contains, builds at most one FpVec and not S.elements."""
+
+        def verify_by_contains(H, S):
+            for s in S.elements:
+                if H.contains(s):
+                    return False, s
+            return True, None
+
+        rng = random.Random(f"verify-subgroup-{p}-{n}")
+        U = [FpVec(p, c) for c in itertools.product(range(p), repeat=n)]
+        zero = FpVec.zero(p, n)
+        outcomes = set()
+        for k in range(n + 1):
+            for _ in range(10):
+                H = Subgroup.whole_group(p, n)
+                while H.codim != k:
+                    H = Subgroup.from_dual_vectors([rng.choice(U) for _ in range(k)], p=p, n=n)
+                picks = rng.sample(U, rng.randint(1, len(U)))
+                for case in (
+                    [],
+                    picks + [zero],
+                    picks,
+                    [x for x in picks if not H.contains(x)],
+                ):
+                    S = VecSet(p, n, case)
+                    built = []
+                    with monkeypatch.context() as m:
+                        init = FpVec.__post_init__
+                        m.setattr(FpVec, "__post_init__", lambda self: built.append(init(self)))
+                        m.setattr(Subgroup, "contains", None)
+                        got = verify(H, S)
+                    assert len(built) <= 1 and "elements" not in vars(S)
+                    assert got == verify_by_contains(H, S), (H, S)
+                    assert got[1] is None or type(got[1]) is FpVec
+                    outcomes.add(got[0])
+        assert outcomes == {True, False}

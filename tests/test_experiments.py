@@ -428,6 +428,34 @@ class TestLiftTransfer:
             exp_lift_transfer(2, 3, 2, 4, weight_d_set(2, 2, 1))
 
 
+# sha256 of the JSON reports, recorded from the driver that drew rho as FpVec
+# columns and checked each lift point with hom_apply; any change to a
+# report's bytes changes them.  (p, d, n, m, S rows or None, seed, digest).
+LIFT_TRANSFER_DIGESTS = [
+    (2, 4, 3, None, None, 0, "c39e35c2dd5f7d0bc599da1fce72c4d06df6ecfe98e37a4d2c42106fd6f9cc9a"),
+    (2, 4, 3, 40, None, 0, "9f5a47b7b818db4ba202fb0a9dd7c740c6ff28b699ec1694e20fcee6ec09d6c7"),
+    (2, 4, 4, None, None, 0, "1d6cc0db6d0f7ffcf9bc51c6835f45aaec56bd11751c07b9bbb19c7039301c8b"),
+    (3, 3, 2, 100, None, 0, "6d078b4383652e8283c965185c99bc4b4eef2a953ea830b0d532f3821f5d818b"),
+    (3, 6, 2, 12, None, 7, "1b8c01fd51acaf37b12e60de32e150b37bb43ce0ea056f58142da8601415327d"),
+    (5, 5, 2, None, None, 0, "ceb191a57af67a960a742e177bacea54e6bf36b6c3c562624311b297068c5641"),
+    (5, 5, 1, 7, None, 2, "4668532b848f68caf4bce22d7e2411b2c4a0952b44f9e72077ba17ec25850308"),
+    (2, 4, 3, 10, [[1, 1, 0], [0, 1, 1], [1, 1, 1]], 3,
+     "4e0348f639abc847af0988978554fb02a600ad8452066379f940515c112dfa30"),
+    (5, 5, 2, 26, [[1, 2], [3, 0], [4, 4]], 11,
+     "3947348eccee7d2a696ed1a35ade629be1968a17d71e5cf40d230f97548ef50c"),
+    # Images summing 258 entries of up to 2: past 255, so a uint8 sum would wrap.
+    (3, 258, 2, 260, None, 0, "65a1bc357aa17e128a6a32bcb7fa7f0b741ad0777d27fcce38f99adefe097892"),
+]
+
+
+@pytest.mark.parametrize("p, d, n, m, S, seed, digest", LIFT_TRANSFER_DIGESTS)
+def test_lift_transfer_report_digests_pinned(p, d, n, m, S, seed, digest):
+    S = None if S is None else VecSet.from_rows(p, n, np.array(S))
+    report = exp_lift_transfer(p, d, n, m, S, seed=seed)
+    assert report.ok
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
 class TestPoincare:
     def test_small_run_clean(self):
         report = exp_poincare(2, 4, 1, 50, seed=1)

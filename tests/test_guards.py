@@ -75,6 +75,19 @@ def test_check_bound_refuses_huge_counts_without_forming_them(args):
     assert str(exc.value) == "count exceeds the test bound 2^24"
 
 
+def test_slice_entry_bound_admits_every_half_slice():
+    # Every slice of d <= m / 2 within the 200,000 row bound stays within the
+    # 2^25 entry bound; the widest is C(107, 3) * 107 = 21,237,895.
+    widest = 0
+    for d in range(3, 40):
+        m = 2 * d
+        while math.comb(m, d) <= 200_000:
+            check_bound("slice", "slice entry bound 2^25", 2**25, times=m, n=m, k=d)
+            widest = max(widest, math.comb(m, d) * m)
+            m += 1
+    assert widest == math.comb(107, 3) * 107
+
+
 class _Reached(Exception):
     """Raised in place of the work that follows a guard that passed."""
 
@@ -131,6 +144,10 @@ GUARDS = [
     # C(48, 4) = 194,580 <= 200,000 < C(49, 4) = 211,876.
     ("slice C(m, d) <= 200,000", lambda t: exp_lift_transfer(2, 4, 2, 48),
      lambda t: exp_lift_transfer(2, 4, 2, 49), (experiments, "weight_d_set")),
+    # With d = m - 1 there are m rows of m entries; both shapes pass the row
+    # bound, and 5791^2 = 33,535,681 <= 2^25 < 5793^2.
+    ("slice C(m, d) * m <= 2^25", lambda t: exp_lift_transfer(2, 5790, 2, 5791),
+     lambda t: exp_lift_transfer(2, 5792, 2, 5793), (experiments, "weight_d_set")),
     # At n = 24 the default m = 2^24 passes the slice bound only with d = m.
     ("lift-transfer p^n <= 2^24", lambda t: exp_lift_transfer(2, 2**24, 24),
      lambda t: exp_lift_transfer(2, 4, 25), (experiments, "weight_d_set")),
@@ -162,6 +179,8 @@ REPRODUCERS = [
     ["exp", "poincare", "--p", "31", "--n", "3000000"],
     ["exp", "profile-scan", "--p", "31", "--n", "3000000"],
     ["exp", "lift-transfer", "--p", "31", "--n", "3000000", "--d", "31"],
+    ["exp", "lift-transfer", "--p", "2", "--n", "2", "--d", "131072", "--m", "131073"],
+    ["exp", "lift-transfer", "--p", "2", "--n", "2", "--d", "630", "--m", "632"],
     ["exp", "ep-roundtrip", "--p", "2", "--n", "100000", "--family", "all-pairs"],
     ["exp", "ep-roundtrip", "--p", "2", "--n", "100000", "--family", "ap3"],
 ]
