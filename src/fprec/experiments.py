@@ -27,7 +27,6 @@ from .colorings import (
     chromatic_number_exact,
     components_classify,
     hypergraph_chromatic,
-    proper_partitions,
     verify,
 )
 from .families import (
@@ -41,6 +40,7 @@ from .families import (
 from .fileio import digest_of_text
 from .fpgroup import (
     FpMatrix,
+    _memoized,
     annihilator_level,
     check_bound,
     check_order,
@@ -149,6 +149,26 @@ def _bell(n: int) -> int:
     return row[0]
 
 
+@_memoized
+def _partition_table(N: int) -> np.ndarray:
+    """Every set partition of [1, N] as a row of cell labels in restricted-growth
+    form, in lex order: the order proper_partitions yields them with no edges.
+
+    Returns a read-only int8 array of shape (Bell(N), N), memoized per
+    process.  Row i of the table for N - 1 is followed, in the table for N,
+    by its extensions with the labels 1..max + 1, in that order.
+    """
+    if N == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    prev = _partition_table(N - 1)
+    counts = prev.max(axis=1, initial=0).astype(np.intp) + 1
+    firsts = np.cumsum(counts) - counts
+    out = np.empty((counts.sum(), N), dtype=np.int8)
+    out[:, :-1] = np.repeat(prev, counts, axis=0)
+    out[:, -1] = np.arange(len(out)) - np.repeat(firsts, counts) + 1
+    return out
+
+
 def _cell_indicators(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of labels (counted from 1), the indicator row of each label up
     to the largest, as a (rows, level) pair for scan_avoiding: rows stacks
@@ -156,7 +176,7 @@ def _cell_indicators(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row i's.  An absent label gives a zero row, which pairs to 0 with every
     point."""
     R, N = labels.shape
-    k = labels.max(initial=0)
+    k = int(labels.max(initial=0))
     cells = np.zeros((R, k, N), dtype=np.int8)
     cells[np.arange(R)[:, None], labels - 1, np.arange(N)] = 1
     return cells.reshape(R * k, N), np.arange(R * k).reshape(R, k)
@@ -182,29 +202,34 @@ def _avoiding_subgroups(
     return found, sum(map(len, levels)), k_used
 
 
-def _induced_violations(A: np.ndarray, edges: Sequence[Sequence[int]], p: int) -> list[str]:
-    """Check the partitions that the k x N annihilators in A induce, vertex v's
-    cell given by column v: each must be proper and have at most p^k cells.
+def _induced_violations(
+    found: Sequence[np.ndarray], edges: Sequence[Sequence[int]], p: int
+) -> list[str]:
+    """Check the partitions that the avoiders of each level in found, an
+    (m, k, N) array of k x N annihilators, induce, vertex v's cell given by
+    column v: each must be proper and have at most p^k cells.
 
     Column v is coded as sum_r A[r, v] p^r, so two vertices share a cell
-    exactly when their codes are equal.  Returns one string per failure, in
-    the order of A.
+    exactly when their codes are equal.  Every level's codes, each row with
+    its cap p^k, go through one monochromatic-edge pass and one sort.
+    Returns one string per failure, level by level in the order of found,
+    avoider by avoider.
     """
-    k = A.shape[1]
-    codes = np.zeros((len(A), A.shape[2]), dtype=np.int64)
-    for r in reversed(range(k)):
-        codes = codes * p + A[:, r]
+    if not found:
+        return []
+    codes = np.concatenate([p ** np.arange(A.shape[1]) @ A for A in found])
+    caps = np.repeat([p ** A.shape[1] for A in found], [len(A) for A in found])
     first = _monochromatic(codes, edges)
     cells = 1 + (np.diff(np.sort(codes, axis=1), axis=1) != 0).sum(axis=1)
     out = []
-    for i in np.flatnonzero((first >= 0) | (cells > p**k)):
+    for i in np.flatnonzero((first >= 0) | (cells > caps)):
         if first[i] >= 0:
             out.append(
                 "partition induced by avoiding subgroup has monochromatic edge "
                 f"{list(edges[first[i]])}"
             )
-        if cells[i] > p**k:
-            out.append(f"induced partition has {cells[i]} cells > p^k = {p**k}")
+        if cells[i] > caps[i]:
+            out.append(f"induced partition has {cells[i]} cells > p^k = {caps[i]}")
     return out
 
 
@@ -214,6 +239,14 @@ def _cells(labels) -> list[list[int]]:
     for v, c in enumerate(labels.tolist(), start=1):
         cells.setdefault(c, []).append(v)
     return sorted(cells.values())
+
+
+def _check_bridge_shape(p: int, N: int) -> None:
+    """The bridge's input checks, p before the N bound: bad input exits 2 even
+    where N is also out of bounds."""
+    if p not in (2, 3, 5):
+        raise ValueError(f"p must be one of 2, 3, 5, got {p}")
+    check_bound(f"N={N}", "bridge experiment bound 12", 12, times=N)
 
 
 def run_bridge_roundtrip(
@@ -236,17 +269,18 @@ def run_bridge_roundtrip(
 
     Both directions are scans of fpgroup.scan_avoiding, one row per
     partition or avoider, and no Subgroup object is built.  In (a) a
-    partition is a row of cell labels, and its cell-indicator rows, cells
-    ordered by least vertex, are already the canonical annihilator of its
-    subgroup (disjoint cells, each led by a 1 at its least vertex); the
-    partitions the scan does not hit are those whose subgroup meets the
-    indicator set.  In (b) an avoider's labels are its columns coded as
-    integers, sum_r A[r, v] p^r.
+    partition is a row of cell labels: up to Bell(N) = 5,000 the candidates
+    are every row of the memoized _partition_table(N), otherwise seeded
+    random draws, and one _monochromatic pass keeps the proper ones.  A
+    partition's cell-indicator rows, cells ordered by least vertex, are
+    already the canonical annihilator of its subgroup (disjoint cells, each
+    led by a 1 at its least vertex); the partitions the scan does not hit are
+    those whose subgroup meets the indicator set.  In (b) one
+    _induced_violations pass checks the avoiders of every scanned level,
+    their labels being their columns coded as integers, sum_r A[r, v] p^r.
     """
     N, edges = hg.n, hg.edges
-    if p not in (2, 3, 5):
-        raise ValueError(f"p must be one of 2, 3, 5, got {p}")
-    check_bound(f"N={N}", "bridge experiment bound 12", 12, times=N)
+    _check_bridge_shape(p, N)
     for e in edges:
         if len(e) % p != 0:
             raise ValueError(f"edge {list(e)} has size not divisible by p={p}")
@@ -257,18 +291,17 @@ def run_bridge_roundtrip(
     # Direction (a): partitions -> subgroups.
     if _bell(N) <= 5000:
         partitions_tested = _bell(N)
-        candidates = list(proper_partitions(hg, N))
+        labels = _partition_table(N)
         sampling = "exhaustive"
     else:
         rng = random.Random(seed)
         partitions_tested = _PARTITION_SAMPLES
         cap = min(N, 4)
-        candidates = [
-            [rng.randrange(1, cap + 1) for _ in range(N)] for _ in range(_PARTITION_SAMPLES)
-        ]
+        labels = np.array(
+            [[rng.randrange(1, cap + 1) for _ in range(N)] for _ in range(_PARTITION_SAMPLES)]
+        )
         sampling = "sampled"
-    labels = np.array(candidates, dtype=np.int64).reshape(len(candidates), N)
-    # Keeps the proper draws; exhaustive candidates are proper, and this re-checks them.
+    # The one filter of both branches: keeps the partitions with no monochromatic edge.
     labels = labels[_monochromatic(labels, edges) < 0]
     meets = np.ones(len(labels), dtype=bool)
     rows, level = _cell_indicators(labels)
@@ -285,8 +318,7 @@ def run_bridge_roundtrip(
     if k_max is None:
         k_max = N
     found, tested, k_used = _avoiding_subgroups(E_fam, k_max, subgroup_budget)
-    for A in found:
-        violations += _induced_violations(A, edges, p)
+    violations += _induced_violations(found, edges, p)
 
     verdicts = {"no_violations": not violations}
     results = {
@@ -318,7 +350,7 @@ def exp_ep_roundtrip(p: int, N: int, family: str, seed: int = 0) -> ExperimentRe
     if family not in ("all-pairs", "ap3", "gallai"):
         named = "ep-roundtrip needs --family" if family is None else f"unknown family {family!r}"
         raise ValueError(f"{named}; expected all-pairs, ap3 or gallai")
-    check_bound(f"N={N}", "bridge experiment bound 12", 12, times=N)
+    _check_bridge_shape(p, N)
     if family == "all-pairs":
         hg = Hypergraph.from_edge_lists(N, itertools.combinations(range(1, N + 1), 2))
     elif family == "ap3":

@@ -6,12 +6,13 @@ window under symmetric difference.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .fpgroup import FpVec
+from .fpgroup import FpVec, chunk_slices
 from .colorings import Hypergraph
 from .setops import VecSet
 
@@ -62,9 +63,15 @@ def weight_d_set(p: int, n: int, d: int) -> VecSet:
     """All 0/1 vectors of weight d in F_p^n: the indicator vectors e_F, |F| = d."""
     if not 0 < d <= n:
         raise ValueError(f"d={d} out of range (0, {n}]")
-    supports = np.array(list(itertools.combinations(range(n), d)))
-    X = np.zeros((len(supports), n), dtype=np.uint8)
-    X[np.arange(len(supports))[:, None], supports] = 1
+    # The supports fill X a chunk of rows at a time, so no index array or
+    # tuple list of all C(n, d) * d support entries is ever held.
+    supports = itertools.combinations(range(n), d)
+    X = np.zeros((math.comb(n, d), n), dtype=np.uint8)
+    for sl in chunk_slices(len(X), d):
+        rows = X[sl]
+        flat = itertools.chain.from_iterable(itertools.islice(supports, len(rows)))
+        idx = np.fromiter(flat, dtype=np.intp, count=len(rows) * d).reshape(-1, d)
+        rows[np.arange(len(rows))[:, None], idx] = 1
     return VecSet.from_rows(p, n, X)
 
 

@@ -554,13 +554,15 @@ class TestCli:
     @pytest.mark.parametrize("p", ["0", "1", "4", "-3", "32"])
     @pytest.mark.parametrize("exp", [
         ["ep-roundtrip", "--family", "all-pairs"],
+        ["ep-roundtrip", "--family", "all-pairs", "--n", "13"],
         ["lift-transfer"],
         ["poincare"],
         ["profile-scan"],
         ["bog-scan"],
-    ], ids=lambda exp: exp[0])
+    ], ids=["ep-roundtrip", "ep-roundtrip-n13", "lift-transfer", "poincare", "profile-scan",
+            "bog-scan"])
     def test_experiments_validate_p_first(self, exp, p, capsys):
-        # p is checked before d % p and before any bound sized by p.
+        # p is checked before d % p and before any bound sized by p or N.
         assert main(["exp", *exp, "--p", p]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "p must be" in err

@@ -19,6 +19,7 @@ from fprec.experiments import (
     _avoiding_subgroups,
     _cell_indicators,
     _induced_violations,
+    _partition_table,
     exp_bog_scan,
     exp_ep_roundtrip,
     exp_lift_transfer,
@@ -308,14 +309,70 @@ class TestEpRoundtrip:
         edges = [sorted(e) for e in hg.edges]
         for k in (1, 2):
             A = annihilator_array(p, hg.n, k)
-            got = _induced_violations(A, edges, p)
+            got = _induced_violations([A], edges, p)
             assert got == induced_reference(A.tolist(), hg, p)
             assert any("monochromatic" in s for s in got)
         rng = np.random.default_rng(p)
         A = rng.integers(0, hg.n, size=(30, 1, hg.n), dtype=np.int8)
-        got = _induced_violations(A, edges, p)
+        got = _induced_violations([A], edges, p)
         assert got == induced_reference(A.tolist(), hg, p)
         assert any("cells > p^k" in s for s in got)
+
+    @pytest.mark.parametrize("p, hg", [
+        (2, Hypergraph.from_edge_lists(5, [{1, 2}, {2, 3}, {3, 4}, {1, 5}])),
+        (2, Hypergraph.from_edge_lists(6, [{1, 2, 3, 4}, {5, 6}, {2, 5}, {1, 2, 5, 6}])),
+        (3, Hypergraph.from_edge_lists(6, [{1, 2, 3}, {4, 5, 6}, {1, 2, 3, 4, 5, 6}])),
+    ])
+    def test_merged_induced_violations_match_reference(self, p, hg, monkeypatch):
+        # Direction (b) checks every level in one call.  Each level shuffles
+        # all its annihilators, many inducing a monochromatic edge, with rows
+        # of up to N cells: first row in [0, N), a permutation in half of
+        # them, and the other rows zero, so column codes stay distinct.  An
+        # empty level sits between them.  Each row's cap is its own level's
+        # p^k, and a tiny chunk makes the one pass cross chunk boundaries.
+        monkeypatch.setattr(fpgroup, "_CHUNK", 7)
+        edges = [sorted(e) for e in hg.edges]
+        rng = np.random.default_rng(p)
+        found = []
+        for k in (1, 2, 3):
+            wide = np.zeros((20, k, hg.n), dtype=np.int8)
+            wide[:, 0] = rng.integers(0, hg.n, size=(20, hg.n))
+            wide[:10, 0] = [rng.permutation(hg.n) for _ in range(10)]
+            level = np.concatenate([annihilator_array(p, hg.n, k), wide])
+            found.append(level[rng.permutation(len(level))])
+        found.insert(2, np.zeros((0, 3, hg.n), dtype=np.int8))
+        got = _induced_violations(found, edges, p)
+        expected = [s for A in found for s in induced_reference(A.tolist(), hg, p)]
+        assert got == expected
+        assert any("monochromatic" in s for s in got)
+        caps = {p**k for k in (1, 2, 3) if hg.n > p**k}
+        assert caps and {int(s.rsplit("= ", 1)[1]) for s in got if "cells > p^k" in s} == caps
+        assert _induced_violations([], edges, p) == []
+
+    def test_bridge_checks_induced_partitions_once(self, monkeypatch):
+        # One direction-(b) pass per op however many levels are scanned.
+        calls = []
+        check = experiments._induced_violations
+
+        def counted(found, edges, p):
+            calls.append(len(found))
+            return check(found, edges, p)
+
+        monkeypatch.setattr(experiments, "_induced_violations", counted)
+        report = run_bridge_roundtrip(2, Hypergraph.from_edge_lists(
+            5, itertools.combinations(range(1, 6), 2)))
+        assert calls == [5] and report.results["subgroup_codim_scanned"] == 5
+
+    @pytest.mark.parametrize("N", range(9))
+    def test_partition_table_is_every_partition_in_order(self, N):
+        # Direction (a)'s exhaustive candidates: every restricted-growth row,
+        # in the order proper_partitions yields them when no edge constrains.
+        table = _partition_table(N)
+        expected = list(proper_partitions(Hypergraph(N, ()), N))
+        assert table.tolist() == [list(part) for part in expected]
+        assert table.shape == (experiments._bell(N), N) and table.dtype == np.int8
+        assert not table.flags.writeable
+        assert _partition_table(N) is table
 
     def test_monochromatic_first_edge_in_edge_order(self):
         rng = random.Random(31)

@@ -2,8 +2,10 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from fprec import fpgroup
 from fprec.bohr import bohr_deficiency
 from fprec.families import (
     FinSet,
@@ -46,6 +48,21 @@ class TestWeightDSet:
                 assert sum(v.coords) % p == d % p
             rep = bohr_deficiency(weight_d_set(p, n, d), 1)
             assert rep.deficient_at == 1
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_chunked_fill_matches_one_index_array(self, p, monkeypatch):
+        # The chunked fill gives the rows, in order, of one fancy assignment
+        # over the array of every support; a tiny chunk puts a boundary
+        # inside most sets.
+        monkeypatch.setattr(fpgroup, "_CHUNK", 7)
+        for n in range(1, 13):
+            for d in range(1, min(n, 6) + 1):
+                supports = np.array(list(itertools.combinations(range(n), d)))
+                X = np.zeros((len(supports), n), dtype=np.uint8)
+                X[np.arange(len(supports))[:, None], supports] = 1
+                got = weight_d_set(p, n, d).rows()
+                assert np.array_equal(got, VecSet.from_rows(p, n, X).rows())
+                assert np.array_equal(got, X[::-1])
 
 
 class TestEOf:
