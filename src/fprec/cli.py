@@ -24,6 +24,7 @@ from .experiments import (
     exp_poincare,
     exp_profile_scan,
     exp_s_square,
+    report_json,
     run_bridge_roundtrip,
 )
 from .fileio import (
@@ -50,7 +51,7 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
 
 def _emit(doc: dict, out: str | None, fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = report_json(doc)
     else:
         rows: list[tuple[str, str]] = []
         _flatten("", doc, rows)

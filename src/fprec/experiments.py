@@ -13,6 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,14 +40,14 @@ from .families import (
 )
 from .fileio import digest_of_text
 from .fpgroup import (
-    FpMatrix,
     _memoized,
     annihilator_level,
+    bounded_count,
     check_bound,
     check_order,
     check_prime,
+    chunk_slices,
     dual_rows,
-    gaussian_binomial,
     lex_coords,
     scan_avoiding,
 )
@@ -84,7 +85,12 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return report_json(self.to_dict())
+
+
+def report_json(doc: dict) -> str:
+    """The bytes of a JSON report: sorted keys, two-space indent, one final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _vecset_digest(S: VecSet) -> str:
@@ -389,10 +395,15 @@ def exp_lift_transfer(
     rng.shuffle(order)
     columns = lex_coords(p, n)[order + [rng.choice(order) for _ in range(m - len(order))]]
     E = weight_d_set(p, m, d)
-    S_lift = preimage_intersect(FpMatrix(p, columns.T.tolist()), S, E)
-    # Apart from preimage_intersect: a lift point maps to the sum of its d columns.
-    images = columns[S_lift.rows().nonzero()[1].reshape(-1, d)].sum(axis=1, dtype=np.int64) % p
-    mapped_ok = bool((S.positions(images) >= 0).all())
+    S_lift = preimage_intersect(columns, S, E)
+    # Apart from preimage_intersect: a lift point maps to the sum of its d
+    # columns, looked up a chunk of lift rows at a time.
+    lift = S_lift.rows()
+    images = (
+        columns[lift[sl].nonzero()[1].reshape(-1, d)].sum(axis=1, dtype=np.int64) % p
+        for sl in chunk_slices(len(lift), m)
+    )
+    mapped_ok = all((S.positions(y) >= 0).all() for y in images)
     k_S = _feasible_k_max(p, n, budget=50_000)
     k_lift = _feasible_k_max(p, m, budget=50_000)
     rep_S = bohr_deficiency(S, k_S, "S") if k_S >= 1 else None
@@ -419,14 +430,16 @@ def exp_lift_transfer(
     )
 
 
+@lru_cache(maxsize=None)
 def _feasible_k_max(p: int, n: int, budget: int) -> int:
-    k = 0
-    total = 0
+    """The largest k <= n with C(n, 1)_p + ... + C(n, k)_p <= budget, each level
+    counted by bounded_count, so no count much wider than budget is formed;
+    memoized, as every bridge and bog-scan op asks again."""
+    k = total = 0
     while k < n:
-        nxt = total + gaussian_binomial(n, k + 1, p)
-        if nxt > budget:
+        total += bounded_count(budget, p=p, n=n, k=k + 1)
+        if total > budget:
             break
-        total = nxt
         k += 1
     return k
 

@@ -47,11 +47,11 @@ def check_prime(p: int) -> None:
         raise ValueError(f"p must be a prime <= {MAX_PRIME}, got {p}")
 
 
-def check_bound(what: str, bound_name: str, bound: int, *, times=1, p=1, e=0, n=0, k=0) -> None:
-    """The one resource guard: ResourceGuardError("{what} exceeds the {bound_name}") when
-    times * p^e * C(n, k)_p exceeds bound, C(n, k)_1 the ordinary binomial.  Lower bounds,
-    C(n, k)_p >= p^(k(n - k)) and >= n for 0 < k < n, refuse first, then C(n, k)_p grows one
-    ratio C(n, i + 1)_p / C(n, i)_p at a time: no integer much wider than bound is formed."""
+def bounded_count(bound: int, *, times=1, p=1, e=0, n=0, k=0) -> int:
+    """times * p^e * C(n, k)_p, C(n, k)_1 the ordinary binomial, when it is at most bound;
+    otherwise some value above bound.  Lower bounds, C(n, k)_p >= p^(k(n - k)) and >= n for
+    0 < k < n, refuse first, then C(n, k)_p grows one ratio C(n, i + 1)_p / C(n, i)_p at a
+    time: no integer much wider than bound is formed."""
     k = min(k, n - k)
     bits = bound.bit_length()
     count = 0 if k < 0 or times == 0 else bound + 1  # refused unless counted below
@@ -62,7 +62,13 @@ def check_bound(what: str, bound_name: str, bound: int, *, times=1, p=1, e=0, n=
             count = count * up // down
             if count > bound:
                 break
-    if count > bound:
+    return count
+
+
+def check_bound(what: str, bound_name: str, bound: int, *, times=1, p=1, e=0, n=0, k=0) -> None:
+    """The one resource guard: ResourceGuardError("{what} exceeds the {bound_name}") when
+    times * p^e * C(n, k)_p, as bounded_count counts it, exceeds bound."""
+    if bounded_count(bound, times=times, p=p, e=e, n=n, k=k) > bound:
         raise ResourceGuardError(f"{what} exceeds the {bound_name}")
 
 

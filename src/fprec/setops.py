@@ -18,7 +18,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .fpgroup import (
-    FpMatrix,
     FpVec,
     check_order,
     check_prime,
@@ -238,15 +237,22 @@ def dfold_distinct_sumset_bruteforce(A: VecSet, d: int) -> VecSet:
     return VecSet(A.p, A.n, tuple(out))
 
 
-def preimage_intersect(rho: FpMatrix, S: VecSet, E: VecSet) -> VecSet:
-    """{x in E : rho(x) in S}."""
-    if rho.p != S.p or rho.p != E.p:
-        raise ValueError("modulus mismatch between rho, S and E")
-    if rho.cols != E.n:
-        raise ValueError(f"rho expects dimension {rho.cols}, E has dimension {E.n}")
-    if rho.rows != S.n:
-        raise ValueError(f"rho maps into dimension {rho.rows}, S has dimension {S.n}")
-    # Entries below 31 keep every sum of products far inside int64.
-    M = np.array(rho.entries, dtype=np.int64).reshape(rho.rows, rho.cols)
-    images = E.rows().astype(np.int64) @ M.T % rho.p
-    return VecSet.from_rows(E.p, E.n, E.rows()[S.positions(images) >= 0])
+def preimage_intersect(columns: np.ndarray, S: VecSet, E: VecSet) -> VecSet:
+    """{x in E : rho(x) in S}, for rho: F_p^m -> F_p^n given by its (m, n)
+    table of columns, row j being rho(e_j).
+
+    E's rows are mapped a chunk at a time, so memory beyond E and the result
+    stays bounded whatever E's size.
+    """
+    if S.p != E.p:
+        raise ValueError("modulus mismatch between S and E")
+    columns = np.asarray(columns)
+    if columns.shape != (E.n, S.n):
+        raise ValueError(f"rho's table has shape {columns.shape}, not (m, n) = ({E.n}, {S.n})")
+    # A sum of m products of entries below 256 is exact in float64.
+    C = columns.astype(np.float64)
+    X = E.rows()
+    keep = np.empty(len(X), dtype=bool)
+    for sl in chunk_slices(len(X), E.n):
+        keep[sl] = S.positions(X[sl] @ C % E.p) >= 0
+    return VecSet.from_rows(E.p, E.n, X[keep])

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fprec.colorings import (
 from fprec.experiments import (
     _avoiding_subgroups,
     _cell_indicators,
+    _feasible_k_max,
     _induced_violations,
     _partition_table,
     exp_bog_scan,
@@ -484,6 +486,23 @@ class TestLiftTransfer:
         with pytest.raises(ValueError):
             exp_lift_transfer(2, 3, 2, 4, weight_d_set(2, 2, 1))
 
+    def test_lift_check_reads_every_chunk(self, monkeypatch):
+        # One slice row outside the preimage joins the lift; in one-row
+        # chunks it is not the first, and the check must still find it.
+        real = experiments.preimage_intersect
+
+        def with_bad_row(columns, S, E):
+            lift = real(columns, S, E)
+            bad = E.rows()[lift.positions(E.rows()) < 0][-1]
+            assert bytes(bad) > bytes(lift.rows()[0])
+            return VecSet.from_rows(E.p, E.n, np.vstack([lift.rows(), bad]))
+
+        monkeypatch.setattr(experiments, "preimage_intersect", with_bad_row)
+        monkeypatch.setattr(fpgroup, "_CHUNK", 1)
+        report = exp_lift_transfer(2, 4, 3, seed=5)
+        assert report.results["lift_size"] > 1
+        assert report.verdicts["lift_maps_into_S"] is False
+
 
 # sha256 of the JSON reports, recorded from the driver that drew rho as FpVec
 # columns and checked each lift point with hom_apply; any change to a
@@ -511,6 +530,36 @@ def test_lift_transfer_report_digests_pinned(p, d, n, m, S, seed, digest):
     report = exp_lift_transfer(p, d, n, m, S, seed=seed)
     assert report.ok
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def feasible_k_max_reference(p, n, budget):
+    """The largest k with C(n, 1)_p + ... + C(n, k)_p <= budget, by exact counts."""
+    k = total = 0
+    while k < n and total + gaussian_binomial(n, k + 1, p) <= budget:
+        total += gaussian_binomial(n, k + 1, p)
+        k += 1
+    return k
+
+
+class TestFeasibleKMax:
+    def test_matches_exact_counts(self):
+        budgets = sorted({0, 1, 2, 3, 7, 100, 20_000, 50_000, 100_000, 10**9}
+                         | {10**e + s for e in range(1, 9) for s in (-1, 0, 1)})
+        for p in (2, 3, 5, 7, 31):
+            for n in range(40):
+                # Every partial sum of levels, and one either side of it.
+                sums = itertools.accumulate(gaussian_binomial(n, k, p) for k in range(1, n + 1))
+                edges = {s + t for s in sums if s <= 10**9 for t in (-1, 0, 1)}
+                for budget in sorted(set(budgets) | edges):
+                    assert _feasible_k_max(p, n, budget) == feasible_k_max_reference(p, n, budget), (
+                        p, n, budget)
+
+    def test_wide_level_is_refused_without_its_count(self):
+        # C(4,000,000, 1)_31 has about six million digits; the bounded count
+        # refuses it from n alone.
+        start = time.perf_counter()
+        assert _feasible_k_max(31, 4_000_000, 50_000) == 0
+        assert time.perf_counter() - start < 0.5
 
 
 class TestPoincare:

@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fprec import fpgroup
 from fprec.families import weight_d_set
 from fprec.fpgroup import FpMatrix, FpVec, ResourceGuardError, hom_apply, hom_from_basis_images
 from fprec.setops import (
@@ -21,6 +23,11 @@ from fprec.setops import (
 
 def vs(p, n, *coord_tuples):
     return VecSet(p, n, tuple(FpVec(p, c) for c in coord_tuples))
+
+
+def columns_of(rho):
+    """rho's (m, n) uint8 table of columns, row j being rho(e_j)."""
+    return np.array(rho.entries, dtype=np.uint8).reshape(rho.rows, rho.cols).T
 
 
 def random_vecset(rng, p, n, size):
@@ -224,12 +231,12 @@ class TestPreimageIntersect:
         S = vs(2, 2, (1, 0), (1, 1))
         E = vs(2, 2, (1, 1), (0, 1))
         rho = FpMatrix.identity(2, 2)
-        assert preimage_intersect(rho, S, E) == vs(2, 2, (1, 1))
+        assert preimage_intersect(columns_of(rho), S, E) == vs(2, 2, (1, 1))
 
     def test_zero_map_empty(self):
         S = vs(2, 2, (1, 0))
         E = vs(2, 2, (1, 1), (0, 1))
-        assert len(preimage_intersect(FpMatrix.zero(2, 2, 2), S, E)) == 0
+        assert len(preimage_intersect(columns_of(FpMatrix.zero(2, 2, 2)), S, E)) == 0
 
     def test_weight4_slice(self):
         cols = [FpVec(2, c) for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
@@ -237,8 +244,8 @@ class TestPreimageIntersect:
         E = vs(2, 4, (1, 1, 1, 1))
         with_zero = vs(2, 2, (0, 0), (1, 0))
         without_zero = vs(2, 2, (1, 0))
-        assert preimage_intersect(rho, with_zero, E) == E
-        assert len(preimage_intersect(rho, without_zero, E)) == 0
+        assert preimage_intersect(columns_of(rho), with_zero, E) == E
+        assert len(preimage_intersect(columns_of(rho), without_zero, E)) == 0
 
     def test_outputs_map_into_S(self):
         rng = random.Random(4)
@@ -247,7 +254,7 @@ class TestPreimageIntersect:
             rho = hom_from_basis_images(cols)
             S = random_vecset(rng, 3, 2, 4)
             E = random_vecset(rng, 3, 3, 10)
-            out = preimage_intersect(rho, S, E)
+            out = preimage_intersect(columns_of(rho), S, E)
             assert len(out) <= len(E)
             for x in out:
                 assert hom_apply(rho, x) in S
@@ -263,8 +270,46 @@ class TestPreimageIntersect:
             targets = S.coord_tuples()
             for E in (weight_d_set(p, m, d), random_vecset(rng, p, m, rng.randrange(40))):
                 expected = [x for x in E.elements if hom_apply(rho, x).coords in targets]
-                assert preimage_intersect(rho, S, E) == VecSet(p, m, tuple(expected))
+                assert preimage_intersect(columns_of(rho), S, E) == VecSet(p, m, tuple(expected))
 
     def test_mismatch_raises(self):
         with pytest.raises(ValueError):
-            preimage_intersect(FpMatrix.identity(2, 2), vs(2, 2, (1, 0)), vs(2, 3, (1, 0, 0)))
+            preimage_intersect(columns_of(FpMatrix.identity(2, 2)), vs(2, 2, (1, 0)), vs(2, 3, (1, 0, 0)))
+
+    def test_wrong_table_shape_raises(self):
+        # rho: F_3^5 -> F_3^2 needs a (5, 2) table; its transpose and tables
+        # one row or column off are refused.
+        S = vs(3, 2, (1, 0))
+        E = weight_d_set(3, 5, 3)
+        table = np.ones((5, 2), dtype=np.uint8)
+        assert len(preimage_intersect(table, S, E)) == 0
+        for shape in ((2, 5), (4, 2), (6, 2), (5, 1), (5, 3), (10,)):
+            for points in (E, VecSet.empty(3, 5)):
+                with pytest.raises(ValueError):
+                    preimage_intersect(np.ones(shape, dtype=np.uint8), S, points)
+
+    def test_chunked_matches_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        for p, m, n, d in ((2, 12, 3, 4), (3, 9, 2, 3), (5, 7, 2, 2)):
+            table = rng.integers(0, p, (m, n)).astype(np.uint8)
+            S = VecSet.from_rows(p, n, rng.integers(0, p, (p**n // 2, n)))
+            E = weight_d_set(p, m, d)
+            monkeypatch.setattr(fpgroup, "_CHUNK", 1 << 30)
+            whole = preimage_intersect(table, S, E)
+            monkeypatch.setattr(fpgroup, "_CHUNK", 7)
+            assert preimage_intersect(table, S, E) == whole
+            assert 0 < len(whole) < len(E)
+
+    def test_memory_bounded_on_a_wide_slice(self):
+        # E is 82,215 rows of 406 entries, 33 MB; an int64 copy of it would
+        # take 267 MB, while the chunks and the result stay far smaller.
+        E = weight_d_set(2, 406, 404)
+        table = np.random.default_rng(0).integers(0, 2, (406, 2)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            out = preimage_intersect(table, weight_d_set(2, 2, 2), E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(out) < len(E)
+        assert peak < 64 * 2**20
