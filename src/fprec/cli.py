@@ -97,13 +97,17 @@ EXPERIMENTS = {
 }
 
 
+# Every parser of the command line: none reads a prefix of an option as the option.
+_Parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+
+
 # Built once per process: repeated in-process calls of main() would
 # otherwise rebuild every subparser each time.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fprec")
+    parser = _Parser(prog="fprec")
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     s = subs.add_parser("deficiency", help="Bohr deficiency scan of a vector set")
     s.add_argument("--in", dest="infile", required=True, help="vector set file")
@@ -132,9 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
 
     exp = subs.add_parser("exp", help="run a named experiment").add_subparsers(
-        dest="name", required=True)
+        dest="name", required=True, parser_class=_Parser)
     for name, (options, _) in EXPERIMENTS.items():
-        s = exp.add_parser(name, allow_abbrev=False)
+        s = exp.add_parser(name)
         for flag, kind, default, *help_ in options:
             s.add_argument(flag, type=kind, default=default, help=help_[0] if help_ else None)
         _add_common(s)

@@ -106,9 +106,11 @@ def _greedy_clique(g: Graph) -> list[int]:
     """Greedy clique, highest-degree-first with lowest-index tie break."""
     order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
     clique: list[int] = []
+    cands = set(range(g.n))  # the vertices adjacent to every clique member
     for v in order:
-        if all(v in g.adj[u] for u in clique):
+        if v in cands:
             clique.append(v)
+            cands &= g.adj[v]
     return clique
 
 

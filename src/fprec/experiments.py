@@ -140,19 +140,9 @@ def exp_s_square(W: int) -> ExperimentReport:
     )
 
 
-# Seeded random partitions drawn by bridge direction (a) when [1, N] has more
-# than 5,000 set partitions.
+# Seeded random partitions drawn by bridge direction (a) when N > 8, where
+# [1, N] has more than 5,000 set partitions: Bell(8) = 4,140, Bell(9) = 21,147.
 _PARTITION_SAMPLES = 500
-
-
-def _bell(n: int) -> int:
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
 
 
 @_memoized
@@ -188,15 +178,13 @@ def _cell_indicators(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells.reshape(R * k, N), np.arange(R * k).reshape(R, k)
 
 
-def _avoiding_subgroups(
-    E_fam: VecSet, k_max: int, budget: int
-) -> tuple[list[np.ndarray], int, int]:
+def _avoiding_subgroups(E_fam: VecSet) -> tuple[list[np.ndarray], int, int]:
     """Avoiding subgroups of codim 1..k_used as their canonical annihilators,
-    one (m, k, n) array per scanned level, where k_used is k_max cut to the
-    levels that fit in the budget; returns (found, tested, k_used)."""
+    one (m, k, n) array per scanned level, where k_used is the last level that
+    fits in _BRIDGE_BUDGET; returns (found, tested, k_used)."""
     p, n = E_fam.p, E_fam.n
     points = E_fam.rows()
-    k_used = max(0, min(k_max, _feasible_k_max(p, n, budget)))
+    k_used = _feasible_k_max(p, n, _BRIDGE_BUDGET)
     if not k_used:
         return [], 0, 0
     rows = dual_rows(p, n)
@@ -255,14 +243,7 @@ def _check_bridge_shape(p: int, N: int) -> None:
     check_bound(f"N={N}", "bridge experiment bound 12", 12, times=N)
 
 
-def run_bridge_roundtrip(
-    p: int,
-    hg: Hypergraph,
-    *,
-    seed: int = 0,
-    subgroup_budget: int = 100_000,
-    k_max: int | None = None,
-) -> ExperimentReport:
+def run_bridge_roundtrip(p: int, hg: Hypergraph, *, seed: int = 0) -> ExperimentReport:
     """Exercise both directions of the coloring <-> avoiding-subgroup bridge.
 
     Direction (a): every proper partition of [1, N] yields the subgroup cut
@@ -275,15 +256,16 @@ def run_bridge_roundtrip(
 
     Both directions are scans of fpgroup.scan_avoiding, one row per
     partition or avoider, and no Subgroup object is built.  In (a) a
-    partition is a row of cell labels: up to Bell(N) = 5,000 the candidates
-    are every row of the memoized _partition_table(N), otherwise seeded
-    random draws, and one _monochromatic pass keeps the proper ones.  A
+    partition is a row of cell labels: for N <= 8 the candidates are every
+    row of the memoized _partition_table(N), otherwise seeded random draws,
+    and one _monochromatic pass keeps the proper ones.  A
     partition's cell-indicator rows, cells ordered by least vertex, are
     already the canonical annihilator of its subgroup (disjoint cells, each
     led by a 1 at its least vertex); the partitions the scan does not hit are
     those whose subgroup meets the indicator set.  In (b) one
     _induced_violations pass checks the avoiders of every scanned level,
-    their labels being their columns coded as integers, sum_r A[r, v] p^r.
+    their labels being their columns coded as integers, sum_r A[r, v] p^r;
+    the levels are 1..k, k the last that fits in _BRIDGE_BUDGET.
     """
     N, edges = hg.n, hg.edges
     _check_bridge_shape(p, N)
@@ -295,18 +277,17 @@ def run_bridge_roundtrip(
     E_fam = family_indicator_set(hg, p)
 
     # Direction (a): partitions -> subgroups.
-    if _bell(N) <= 5000:
-        partitions_tested = _bell(N)
+    if N <= 8:
         labels = _partition_table(N)
         sampling = "exhaustive"
     else:
         rng = random.Random(seed)
-        partitions_tested = _PARTITION_SAMPLES
         cap = min(N, 4)
         labels = np.array(
             [[rng.randrange(1, cap + 1) for _ in range(N)] for _ in range(_PARTITION_SAMPLES)]
         )
         sampling = "sampled"
+    partitions_tested = len(labels)
     # The one filter of both branches: keeps the partitions with no monochromatic edge.
     labels = labels[_monochromatic(labels, edges) < 0]
     meets = np.ones(len(labels), dtype=bool)
@@ -321,9 +302,7 @@ def run_bridge_roundtrip(
     uncertified = 0 if uniform else int(meets.sum())
 
     # Direction (b): avoiding subgroups -> partitions.
-    if k_max is None:
-        k_max = N
-    found, tested, k_used = _avoiding_subgroups(E_fam, k_max, subgroup_budget)
+    found, tested, k_used = _avoiding_subgroups(E_fam)
     violations += _induced_violations(found, edges, p)
 
     verdicts = {"no_violations": not violations}
@@ -342,7 +321,7 @@ def run_bridge_roundtrip(
     }
     return ExperimentReport(
         "ep_roundtrip",
-        {"p": p, "seed": seed, "k_max": k_max},
+        {"p": p, "seed": seed, "k_max": N},
         results,
         verdicts,
         {"hypergraph": _hypergraph_digest(hg)},
@@ -390,6 +369,8 @@ def exp_lift_transfer(
     S = weight_d_set(p, n, min(p, n)) if S is None else S
     if S.p != p or S.n != n:
         raise ValueError("S must live in F_p^n")
+    # One seeded choice and one report row per column of rho.
+    check_bound(f"m = {m}", "rho column bound 2^16", 2**16, times=m)
     rng = random.Random(seed)
     order = list(range(p**n))
     rng.shuffle(order)
@@ -404,8 +385,8 @@ def exp_lift_transfer(
         for sl in chunk_slices(len(lift), m)
     )
     mapped_ok = all((S.positions(y) >= 0).all() for y in images)
-    k_S = _feasible_k_max(p, n, budget=50_000)
-    k_lift = _feasible_k_max(p, m, budget=50_000)
+    k_S = _feasible_k_max(p, n, _LEVEL_BUDGET)
+    k_lift = _feasible_k_max(p, m, _LEVEL_BUDGET)
     rep_S = bohr_deficiency(S, k_S, "S") if k_S >= 1 else None
     rep_lift = bohr_deficiency(S_lift, k_lift, "S_lift") if k_lift >= 1 else None
     witnesses_ok = all(
@@ -428,6 +409,13 @@ def exp_lift_transfer(
         verdicts,
         {"S": _vecset_digest(S)},
     )
+
+
+# The subgroup budgets of _feasible_k_max.  They are not guards: each cuts
+# the levels a report covers, and the report records the cut.
+_BRIDGE_BUDGET = 100_000  # bridge direction (b)
+_LEVEL_BUDGET = 50_000  # profile-scan, and lift-transfer for S and for the lift
+_BOG_BUDGET = 20_000  # bog-scan
 
 
 @lru_cache(maxsize=None)
@@ -548,7 +536,7 @@ def exp_profile_scan(
     rows = []
     for n in range(lo, hi + 1):
         S_n = _family_set(p, n, family)
-        km = min(k_max, n, _feasible_k_max(p, n, budget=50_000))
+        km = min(k_max, _feasible_k_max(p, n, _LEVEL_BUDGET))
         if S_n.contains_zero():
             chi_str: object = "inf"
             deficiency: object = None
@@ -609,7 +597,7 @@ def exp_bog_scan(
     check_bound(f"({p}^{n})^2 * {d} DP steps", "sumset bound 2^18", 2**18, times=d, p=p, e=2 * n)
     U = lex_coords(p, n)
     size = len(U)
-    c_max = _feasible_k_max(p, n, budget=20_000)
+    c_max = _feasible_k_max(p, n, _BOG_BUDGET)
     rows = dual_rows(p, n)
     levels = [annihilator_level(p, n, c) for c in range(c_max + 1)]
 

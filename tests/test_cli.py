@@ -745,6 +745,15 @@ EXPERIMENT_OPTIONS = {
 }
 ALL_OPTIONS = set().union(*EXPERIMENT_OPTIONS.values())
 
+# Arguments with which each verb other than exp parses.
+VERB_ARGS = {
+    "deficiency": ["--in", "s.txt", "--k-max", "1"],
+    "chi": ["--graph", "g.txt"],
+    "cayley": ["--vertices", "v.txt", "--conn", "s.txt", "--out", "g.txt"],
+    "hypergraph-chi": ["--in", "h.txt"],
+    "bridge": ["--in", "h.txt", "--p", "2"],
+}
+
 # The parameters of each bare `fprec exp NAME` that runs, recorded when every
 # experiment shared one option set.
 BARE_PARAMETERS = {
@@ -780,14 +789,22 @@ class TestExperimentOptions:
             assert exc.value.code == 2, flag
             assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", EXPERIMENT_OPTIONS)
+    @pytest.mark.parametrize("name", [*EXPERIMENT_OPTIONS, *VERB_ARGS, "fprec"])
     def test_no_abbreviated_options(self, name, capsys):
-        # A prefix of an option is not that option: profile-scan --k is not --k-max.
-        for flag in EXPERIMENT_OPTIONS[name]:
+        # A prefix of an option is not that option: profile-scan --k is not
+        # --k-max, bridge --s is not --seed and fprec --vers is not --version.
+        # Each prefix follows arguments that parse, with a value its option takes.
+        words = ["exp", name] if name in EXPERIMENT_OPTIONS else [name] if name in VERB_ARGS else []
+        parser = build_parser()
+        for word in words:
+            parser = _subparsers(parser)[word]
+        flags = {f for a in parser._actions for f in a.option_strings}
+        for flag in flags:
             for prefix in (flag[:i] for i in range(3, len(flag))):
-                if prefix not in ALL_OPTIONS:
+                if prefix not in flags:
+                    argv = [*words, *VERB_ARGS.get(name, []), prefix]
                     with pytest.raises(SystemExit) as exc:
-                        main(["exp", name, prefix, "3"])
+                        build_parser().parse_args(argv + ["tsv" if flag == "--format" else "3"])
                     assert exc.value.code == 2, prefix
 
     def test_profile_scan_k_exit_2(self, capsys):

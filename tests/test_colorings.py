@@ -258,6 +258,17 @@ def _find_coloring_reference(g, r):
     return tuple(colors[v] for v in range(g.n)) if rec(0) else None
 
 
+def greedy_clique_reference(g):
+    """_greedy_clique by testing each vertex, in its order, against every
+    clique member."""
+    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    clique = []
+    for v in order:
+        if all(v in g.adj[u] for u in clique):
+            clique.append(v)
+    return clique
+
+
 def chromatic_reference(g, max_colors=None):
     """Reference for chromatic_number_exact: the DSATUR heuristic, then a
     backtracking search restarted from the root for each smaller color count
@@ -266,7 +277,7 @@ def chromatic_reference(g, max_colors=None):
         return INFINITE, None
     if g.n == 0:
         return 0, ()
-    lb = max(1, len(_greedy_clique(g)))
+    lb = max(1, len(greedy_clique_reference(g)))
     best_coloring = _dsatur_reference(g)
     best = max(best_coloring)
     if max_colors is not None and lb > max_colors:
@@ -304,6 +315,15 @@ class TestChromaticMatchesReference:
         leaves = list(_dsatur_colorings(g, g.n))
         assert leaves[0] == _dsatur_reference(g)
         assert leaves == leaf_sequence_reference(g, g.n)
+
+    def test_greedy_clique_matches_membership_loop(self):
+        rng = random.Random(67)
+        for _ in range(2000):
+            g = random_graph(rng, rng.randrange(0, 41), density=rng.random())
+            assert _greedy_clique(g) == greedy_clique_reference(g)
+        for p, n, d in ((2, 7, 3), (3, 4, 2)):
+            g = build_cayley(VecSet.full(p, n), weight_d_set(p, n, d)).graph
+            assert _greedy_clique(g) == greedy_clique_reference(g)
 
     def test_edgeless_20000_vertices(self):
         g = Graph.from_edges(20_000, [])

@@ -261,17 +261,20 @@ class TestEpRoundtrip:
         (3, ap3_hypergraph(6)),
     ])
     def test_k_max_above_n_scans_as_k_max_n(self, p, hg):
-        expected = run_bridge_roundtrip(p, hg, k_max=hg.n).results
-        assert run_bridge_roundtrip(p, hg, k_max=hg.n + 2).results == expected
+        # The report's k_max is N, and every level up to N fits in the budget here.
+        report = run_bridge_roundtrip(p, hg)
+        assert report.parameters["k_max"] == hg.n
+        assert report.results["subgroup_codim_scanned"] == hg.n
 
-    @pytest.mark.parametrize("p, hg, k_max, budget", [
-        (2, Hypergraph.from_edge_lists(4, itertools.combinations(range(1, 5), 2)), 4, 10**5),
-        (3, ap3_hypergraph(5), 5, 200),
-        (2, gallai_square_hypergraph(2), 3, 10**5),
+    @pytest.mark.parametrize("p, hg, budget", [
+        (2, Hypergraph.from_edge_lists(4, itertools.combinations(range(1, 5), 2)), 10**5),
+        (3, ap3_hypergraph(5), 200),
+        (2, gallai_square_hypergraph(2), 10**5),
     ])
-    def test_avoiding_subgroups_are_verified_enumeration(self, p, hg, k_max, budget):
+    def test_avoiding_subgroups_are_verified_enumeration(self, p, hg, budget, monkeypatch):
+        monkeypatch.setattr(experiments, "_BRIDGE_BUDGET", budget)
         E_fam = family_indicator_set(hg, p)
-        found, tested, k_used = _avoiding_subgroups(E_fam, k_max, budget)
+        found, tested, k_used = _avoiding_subgroups(E_fam)
         expected = [
             [list(row) for row in H.annihilator.entries]
             for k in range(1, k_used + 1)
@@ -292,10 +295,11 @@ class TestEpRoundtrip:
         (2, 9, 7, True, 12, 3000), (2, 9, 4, False, 13, 3000), (3, 10, 6, False, 14, 2000),
         (5, 10, 2, False, 15, 2000),
     ])
-    def test_bridge_matches_reference(self, p, N, m, uniform, seed, budget):
+    def test_bridge_matches_reference(self, p, N, m, uniform, seed, budget, monkeypatch):
+        monkeypatch.setattr(experiments, "_BRIDGE_BUDGET", budget)
         hg = random_bridge_hypergraph(random.Random(seed), p, N, m, uniform)
         assert all(len(e) == p for e in hg.edges) == uniform
-        report = run_bridge_roundtrip(p, hg, seed=seed, subgroup_budget=budget)
+        report = run_bridge_roundtrip(p, hg, seed=seed)
         expected = bridge_reference(p, hg, seed=seed, subgroup_budget=budget)
         assert report.results == expected
         assert report.results["partition_sampling"] == ("exhaustive" if N <= 8 else "sampled")
@@ -372,9 +376,18 @@ class TestEpRoundtrip:
         table = _partition_table(N)
         expected = list(proper_partitions(Hypergraph(N, ()), N))
         assert table.tolist() == [list(part) for part in expected]
-        assert table.shape == (experiments._bell(N), N) and table.dtype == np.int8
+        bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+        assert table.shape == (bell[N], N) and table.dtype == np.int8
         assert not table.flags.writeable
         assert _partition_table(N) is table
+
+    @pytest.mark.parametrize("N, sampling, tested", [(8, "exhaustive", 4140), (9, "sampled", 500)])
+    def test_partitions_exhaustive_up_to_n_8(self, N, sampling, tested):
+        # Bell(8) = 4,140 <= 5,000 < Bell(9) = 21,147.  partitions_tested
+        # counts the candidates before the edge {1, 2} filters some out.
+        results = run_bridge_roundtrip(2, Hypergraph.from_edge_lists(N, [{1, 2}])).results
+        assert (results["partition_sampling"], results["partitions_tested"]) == (sampling, tested)
+        assert results["proper_partitions"] < tested
 
     def test_monochromatic_first_edge_in_edge_order(self):
         rng = random.Random(31)
@@ -553,6 +566,23 @@ class TestFeasibleKMax:
                 for budget in sorted(set(budgets) | edges):
                     assert _feasible_k_max(p, n, budget) == feasible_k_max_reference(p, n, budget), (
                         p, n, budget)
+
+    def test_each_experiment_sizes_its_levels_by_its_budget(self, monkeypatch):
+        # 100,000 subgroups for the bridge, 50,000 for profile-scan and each
+        # lift-transfer scan, 20,000 for bog-scan.
+        budgets = []
+        feasible = experiments._feasible_k_max
+
+        def recorded(p, n, budget):
+            budgets.append(budget)
+            return feasible(p, n, budget)
+
+        monkeypatch.setattr(experiments, "_feasible_k_max", recorded)
+        run_bridge_roundtrip(2, Hypergraph.from_edge_lists(3, [{1, 2}]))
+        exp_profile_scan(2, "e1", (2, 2), 1, 2)
+        exp_lift_transfer(2, 4, 2)
+        exp_bog_scan(2, 4, 1, 2, budget=1)
+        assert budgets == [100_000, 50_000, 50_000, 50_000, 20_000]
 
     def test_wide_level_is_refused_without_its_count(self):
         # C(4,000,000, 1)_31 has about six million digits; the bounded count

@@ -151,6 +151,10 @@ GUARDS = [
     # At n = 24 the default m = 2^24 passes the slice bound only with d = m.
     ("lift-transfer p^n <= 2^24", lambda t: exp_lift_transfer(2, 2**24, 24),
      lambda t: exp_lift_transfer(2, 4, 25), (experiments, "weight_d_set")),
+    # With d = m the slice is one row of m entries, within both slice bounds
+    # for m = 2^16 + 2 <= 2^25; only the column bound refuses it.
+    ("lift-transfer m <= 2^16", lambda t: exp_lift_transfer(2, 2**16, 16),
+     lambda t: exp_lift_transfer(2, 2**16 + 2, 16, 2**16 + 2), (experiments, "lex_coords")),
 ]
 
 
@@ -181,6 +185,8 @@ REPRODUCERS = [
     ["exp", "lift-transfer", "--p", "31", "--n", "3000000", "--d", "31"],
     ["exp", "lift-transfer", "--p", "2", "--n", "2", "--d", "131072", "--m", "131073"],
     ["exp", "lift-transfer", "--p", "2", "--n", "2", "--d", "630", "--m", "632"],
+    ["exp", "lift-transfer", "--p", "2", "--n", "24", "--d", "16777216"],
+    ["exp", "lift-transfer", "--p", "31", "--n", "1", "--d", "33554431", "--m", "33554431"],
     ["exp", "ep-roundtrip", "--p", "2", "--n", "100000", "--family", "all-pairs"],
     ["exp", "ep-roundtrip", "--p", "2", "--n", "100000", "--family", "ap3"],
 ]
