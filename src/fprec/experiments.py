@@ -165,17 +165,15 @@ def _partition_table(N: int) -> np.ndarray:
     return out
 
 
-def _cell_indicators(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of labels (counted from 1), the indicator row of each label up
-    to the largest, as a (rows, level) pair for scan_avoiding: rows stacks
-    the k indicator rows of each label row, and level row i indexes label
-    row i's.  An absent label gives a zero row, which pairs to 0 with every
-    point."""
+def _cell_masks(labels: np.ndarray) -> np.ndarray:
+    """Per row of labels (counted from 1), each label's cell up to the largest
+    as its bitmask, vertex v of N at bit N - v: the index of its 0/1 row in
+    lex_coords(2, N).  An absent label gets mask 0, the zero row, which pairs
+    to 0 with every point."""
     R, N = labels.shape
-    k = int(labels.max(initial=0))
-    cells = np.zeros((R, k, N), dtype=np.int8)
-    cells[np.arange(R)[:, None], labels - 1, np.arange(N)] = 1
-    return cells.reshape(R * k, N), np.arange(R * k).reshape(R, k)
+    level = np.zeros((R, int(labels.max(initial=0))), dtype=np.intp)
+    np.add.at(level, (np.arange(R)[:, None], labels - 1), 1 << np.arange(N - 1, -1, -1))
+    return level
 
 
 def _avoiding_subgroups(E_fam: VecSet) -> tuple[list[np.ndarray], int, int]:
@@ -254,18 +252,18 @@ def run_bridge_roundtrip(p: int, hg: Hypergraph, *, seed: int = 0) -> Experiment
     sizes are divisible by p but larger than p, direction (a) avoidance is
     recorded observationally rather than asserted.
 
-    Both directions are scans of fpgroup.scan_avoiding, one row per
-    partition or avoider, and no Subgroup object is built.  In (a) a
-    partition is a row of cell labels: for N <= 8 the candidates are every
-    row of the memoized _partition_table(N), otherwise seeded random draws,
-    and one _monochromatic pass keeps the proper ones.  A
-    partition's cell-indicator rows, cells ordered by least vertex, are
-    already the canonical annihilator of its subgroup (disjoint cells, each
-    led by a 1 at its least vertex); the partitions the scan does not hit are
-    those whose subgroup meets the indicator set.  In (b) one
-    _induced_violations pass checks the avoiders of every scanned level,
-    their labels being their columns coded as integers, sum_r A[r, v] p^r;
-    the levels are 1..k, k the last that fits in _BRIDGE_BUDGET.
+    Both directions are scans of fpgroup.scan_avoiding, one row per partition
+    or avoider, and no Subgroup object is built.  In (a) a partition is a row
+    of cell labels: for N <= 8 the candidates are every row of the memoized
+    _partition_table(N), otherwise seeded random draws, and one _monochromatic
+    pass keeps the proper ones.  A partition's cell-indicator rows, cells
+    ordered by least vertex, are already the canonical annihilator of its
+    subgroup (disjoint cells, each led by a 1 at its least vertex), gathered
+    from lex_coords(2, N) by their bitmasks; the partitions the scan does not
+    hit are those whose subgroup meets the indicator set.  In (b) one
+    _induced_violations pass checks the avoiders of every scanned level, their
+    labels being their columns coded as integers, sum_r A[r, v] p^r; the
+    levels are 1..k, k the last that fits in _BRIDGE_BUDGET.
     """
     N, edges = hg.n, hg.edges
     _check_bridge_shape(p, N)
@@ -291,8 +289,7 @@ def run_bridge_roundtrip(p: int, hg: Hypergraph, *, seed: int = 0) -> Experiment
     # The one filter of both branches: keeps the partitions with no monochromatic edge.
     labels = labels[_monochromatic(labels, edges) < 0]
     meets = np.ones(len(labels), dtype=bool)
-    rows, level = _cell_indicators(labels)
-    for _, hits in scan_avoiding(rows, [level], [E_fam.rows()], p):
+    for _, hits in scan_avoiding(lex_coords(2, N), [_cell_masks(labels)], [E_fam.rows()], p):
         meets[hits] = False
     violations = [
         f"uniform family: subgroup from partition {_cells(labels[i])} "
@@ -342,8 +339,8 @@ def exp_ep_roundtrip(p: int, N: int, family: str, seed: int = 0) -> ExperimentRe
         hg = ap3_hypergraph(N)
     else:
         W = math.isqrt(N)
-        if W * W != N:
-            raise ValueError(f"gallai family needs a square N, got {N}")
+        if W < 2 or W * W != N:
+            raise ValueError(f"gallai family needs a square N >= 4, got {N}")
         hg = gallai_square_hypergraph(W)
     report = run_bridge_roundtrip(p, hg, seed=seed)
     report.parameters["family"] = family

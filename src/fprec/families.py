@@ -63,15 +63,19 @@ def weight_d_set(p: int, n: int, d: int) -> VecSet:
     """All 0/1 vectors of weight d in F_p^n: the indicator vectors e_F, |F| = d."""
     if not 0 < d <= n:
         raise ValueError(f"d={d} out of range (0, {n}]")
-    # The supports fill X a chunk of rows at a time, so no index array or
-    # tuple list of all C(n, d) * d support entries is ever held.
-    supports = itertools.combinations(range(n), d)
+    # The supports, or for d > n/2 their complements flipped after, fill X a
+    # chunk of rows at a time, so no index array or tuple list of all
+    # C(n, d) * min(d, n - d) filled entries is ever held.
+    size = min(d, n - d)
+    filled = itertools.combinations(range(n), size)
     X = np.zeros((math.comb(n, d), n), dtype=np.uint8)
-    for sl in chunk_slices(len(X), d):
+    for sl in chunk_slices(len(X), size):
         rows = X[sl]
-        flat = itertools.chain.from_iterable(itertools.islice(supports, len(rows)))
-        idx = np.fromiter(flat, dtype=np.intp, count=len(rows) * d).reshape(-1, d)
+        flat = itertools.chain.from_iterable(itertools.islice(filled, len(rows)))
+        idx = np.fromiter(flat, dtype=np.intp, count=len(rows) * size).reshape(len(rows), size)
         rows[np.arange(len(rows))[:, None], idx] = 1
+    if size < d:
+        X ^= 1
     return VecSet.from_rows(p, n, X)
 
 

@@ -608,6 +608,13 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and f"N must be >= 1, got {n}" in err
 
+    @pytest.mark.parametrize("n", ["1", "3", "8"])
+    def test_ep_roundtrip_gallai_needs_square_n_at_least_4(self, n, capsys):
+        # A window side below 2 is named by N, as a non-square N is.
+        assert main(["exp", "ep-roundtrip", "--p", "2", "--family", "gallai", "--n", n]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"gallai family needs a square N >= 4, got {n}" in err
+
     def test_lift_transfer_checks_deficiency_witnesses(self, tmp_path, monkeypatch, capsys):
         # S = {(1, 0)} is deficient at 1 (witness x_1 = 0); a witness that
         # meets S must fail the report.

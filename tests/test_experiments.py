@@ -18,7 +18,7 @@ from fprec.colorings import (
 )
 from fprec.experiments import (
     _avoiding_subgroups,
-    _cell_indicators,
+    _cell_masks,
     _feasible_k_max,
     _induced_violations,
     _partition_table,
@@ -47,6 +47,7 @@ from fprec.fpgroup import (
     annihilator_array,
     enum_codim_subgroups,
     gaussian_binomial,
+    lex_coords,
     scan_avoiding,
 )
 from fprec.setops import VecSet, dfold_distinct_sumset_bruteforce
@@ -407,9 +408,9 @@ class TestEpRoundtrip:
 
     def test_kernel_meets_matches_subgroup_contains(self, monkeypatch):
         # Direction (a)'s path: a partition's subgroup meets the points exactly
-        # when scan_avoiding does not hit the stack of its cell-indicator rows.
-        # Rows with fewer cells, or a gap in their labels, are padded with zero
-        # rows; a tiny chunk makes every scan cross chunk boundaries.
+        # when scan_avoiding does not hit its cell masks over lex_coords(2, N).
+        # Rows with fewer cells, or a gap in their labels, are padded with mask
+        # 0, the zero row; a tiny chunk makes every scan cross chunk boundaries.
         monkeypatch.setattr(fpgroup, "_CHUNK", 5)
         rng = random.Random(37)
         mixed = False
@@ -425,10 +426,37 @@ class TestEpRoundtrip:
                     cells = [[int(c == lab) for c in row] for lab in sorted(set(row))]
                     H = Subgroup.from_dual_vectors([FpVec(p, tuple(r)) for r in cells], p=p, n=N)
                     expected.append(any(H.contains(FpVec(p, x)) for x in points))
-                rows, level = _cell_indicators(labels)
-                hits = {int(i) for _, a in scan_avoiding(rows, [level], [points], p) for i in a}
+                level = _cell_masks(labels)
+                hits = {int(i) for _, a in scan_avoiding(lex_coords(2, N), [level], [points], p)
+                        for i in a}
                 assert [i not in hits for i in range(len(labels))] == expected
         assert mixed
+
+    @pytest.mark.parametrize("N", range(13))
+    def test_cell_masks_name_the_cell_indicator_rows(self, N):
+        # Row m of lex_coords(2, N) is the 0/1 vector whose bits read m, so
+        # the masks gather each label's cell-indicator row, and an absent
+        # label the zero row: every partition up to N = 8, and beyond it
+        # seeded draws of the labels 1, 2, 4 and 5, so 3 is always a gap.
+        if N <= 8:
+            labels = _partition_table(N)
+        else:
+            rng = random.Random(N)
+            labels = np.array([[rng.choice([1, 2, 4, 5]) for _ in range(N)] for _ in range(300)])
+        R, k = len(labels), int(labels.max(initial=0))
+        cells = np.zeros((R, k, N), dtype=np.uint8)
+        cells[np.arange(R)[:, None], labels - 1, np.arange(N)] = 1
+        assert np.array_equal(lex_coords(2, N)[_cell_masks(labels)], cells)
+
+    @pytest.mark.parametrize("N", [11, 12])
+    def test_p5_bridge_scanning_no_level_needs_no_dual_table(self, N):
+        # C(N, 1)_5 passes _BRIDGE_BUDGET for N >= 9, so (b) scans no level;
+        # dual_rows(5, 11) has 12,207,031 rows and would trip the level guard.
+        hg = Hypergraph.from_edge_lists(N, [range(1, 6), range(6, 11)])
+        start = time.perf_counter()
+        report = run_bridge_roundtrip(5, hg, seed=2)
+        assert time.perf_counter() - start < 1
+        assert report.ok and report.results["subgroup_codim_scanned"] == 0
 
     @pytest.mark.parametrize("p, hg", [
         (2, Hypergraph.from_edge_lists(5, itertools.combinations(range(1, 6), 2))),

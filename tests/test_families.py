@@ -52,11 +52,12 @@ class TestWeightDSet:
     @pytest.mark.parametrize("p", [2, 3])
     def test_chunked_fill_matches_one_index_array(self, p, monkeypatch):
         # The chunked fill gives the rows, in order, of one fancy assignment
-        # over the array of every support; a tiny chunk puts a boundary
-        # inside most sets.
+        # over the array of every support, also where d > n/2 fills the
+        # complements and flips them (d = n: one all-ones row); a tiny chunk
+        # puts a boundary inside most sets.
         monkeypatch.setattr(fpgroup, "_CHUNK", 7)
         for n in range(1, 13):
-            for d in range(1, min(n, 6) + 1):
+            for d in range(1, n + 1):
                 supports = np.array(list(itertools.combinations(range(n), d)))
                 X = np.zeros((len(supports), n), dtype=np.uint8)
                 X[np.arange(len(supports))[:, None], supports] = 1
