@@ -62,9 +62,82 @@ def _emit(doc: dict, out: str | None, fmt: str) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", help="write the report to this path")
-    sub.add_argument("--format", choices=("json", "tsv"), default="json")
+def _int(flag: str, default: int | None = None, **keywords) -> tuple[str, dict]:
+    return flag, {"type": int, "default": default, **keywords}
+
+
+# Options as (flag, add_argument keywords); _REPORT is every report writer's.
+_REPORT = [("--out", {"help": "write the report to this path"}),
+           ("--format", {"choices": ("json", "tsv"), "default": "json"})]
+_IN = ("--in", {"dest": "infile", "required": True})
+_P, _N, _SEED = _int("--p", 2), _int("--n", 4), _int("--seed", 0)
+
+
+def _result(report: ExperimentReport) -> tuple[dict, int]:
+    return report.to_dict(), EXIT_OK if report.ok else EXIT_VALIDATION
+
+
+def _deficiency(a: argparse.Namespace) -> tuple[dict, int]:
+    doc = bohr_deficiency(read_vecset(a.infile), a.k_max, set_id=Path(a.infile).name).to_dict()
+    doc["input_digest"] = sha256_of_file(a.infile)
+    return doc, EXIT_OK
+
+
+def _chi(a: argparse.Namespace) -> tuple[dict, int]:
+    if a.graph and not (a.vertices or a.conn):
+        g = read_graph(a.graph)
+        digests = {"graph": sha256_of_file(a.graph)}
+    elif a.vertices and a.conn and not a.graph:
+        g = build_cayley(read_vecset(a.vertices), read_vecset(a.conn))
+        digests = {"vertices": sha256_of_file(a.vertices), "connection": sha256_of_file(a.conn)}
+    else:
+        raise ValueError("chi needs either --graph alone or both --vertices and --conn")
+    chi, coloring = chromatic_number_exact(g)
+    valid = verify(coloring, g)[0] if coloring is not None else None
+    doc = {
+        "chi": "inf" if chi == INFINITE else chi,
+        "coloring": list(coloring) if coloring is not None else None,
+        "coloring_valid": valid,
+        "input_digests": digests,
+    }
+    return doc, EXIT_OK if valid in (True, None) else EXIT_VALIDATION
+
+
+def _cayley(a: argparse.Namespace) -> tuple[None, int]:
+    write_graph(build_cayley(read_vecset(a.vertices), read_vecset(a.conn)).graph, a.out)
+    return None, EXIT_OK
+
+
+def _hypergraph_chi(a: argparse.Namespace) -> tuple[dict, int]:
+    hg = read_hypergraph(a.infile)
+    doc = {"N": hg.n, "num_edges": len(hg.edges), "chi": hypergraph_chromatic(hg),
+           "input_digest": sha256_of_file(a.infile)}
+    return doc, EXIT_OK
+
+
+def _bridge(a: argparse.Namespace) -> tuple[dict, int]:
+    report = run_bridge_roundtrip(a.p, read_hypergraph(a.infile), seed=a.seed)
+    report.input_digests["hypergraph_file"] = sha256_of_file(a.infile)
+    return _result(report)
+
+
+# Each verb's help, its options and its handler, which returns the report
+# document (None when the verb writes its own file) and the exit code.
+VERBS = {
+    "deficiency": ("Bohr deficiency scan of a vector set",
+                   [("--in", {"dest": "infile", "required": True, "help": "vector set file"}),
+                    _int("--k-max", required=True), *_REPORT], _deficiency),
+    "chi": ("exact chromatic number of a graph or Cayley graph",
+            [("--graph", {"help": "edge-list file"}),
+             ("--vertices", {"help": "vertex set file (Cayley mode)"}),
+             ("--conn", {"help": "connection set file (Cayley mode)"}), *_REPORT], _chi),
+    "cayley": ("build a Cayley graph and export its edge list",
+               [(flag, {"required": True}) for flag in ("--vertices", "--conn", "--out")],
+               _cayley),
+    "hypergraph-chi": ("exact hypergraph chromatic number", [_IN, *_REPORT], _hypergraph_chi),
+    "bridge": ("coloring/subgroup bridge roundtrip on a hypergraph",
+               [_IN, _int("--p", required=True), _SEED, *_REPORT], _bridge),
+}
 
 
 def _lift_transfer(a: argparse.Namespace) -> ExperimentReport:
@@ -74,31 +147,36 @@ def _lift_transfer(a: argparse.Namespace) -> ExperimentReport:
     return report
 
 
-_P, _N, _SEED = ("--p", int, 2), ("--n", int, 4), ("--seed", int, 0)
-
-# Each experiment's options, as (flag, type, default[, help]), and its handler.
-# An experiment's parser accepts only its own options.
+# Each experiment's options and its handler, which returns the experiment's
+# report.  An experiment's parser accepts only its own options and _REPORT.
 EXPERIMENTS = {
-    "s-square": ([("--w", int, 4)], lambda a: exp_s_square(a.w)),
-    "ep-roundtrip": ([_P, _N, ("--family", str, None), _SEED],
+    "s-square": ([_int("--w", 4)], lambda a: exp_s_square(a.w)),
+    "ep-roundtrip": ([_P, _N, ("--family", {}), _SEED],
                      lambda a: exp_ep_roundtrip(a.p, a.n, a.family, seed=a.seed)),
-    "lift-transfer": ([_P, _N, ("--d", int, 4), ("--m", int, None),
-                       ("--set", str, None, "vector set file (lift-transfer)"), _SEED],
+    "lift-transfer": ([_P, _N, _int("--d", 4), _int("--m"),
+                       ("--set", {"help": "vector set file (lift-transfer)"}), _SEED],
                       _lift_transfer),
-    "poincare": ([_P, _N, ("--k", int, 1), ("--trials", int, 100), _SEED],
+    "poincare": ([_P, _N, _int("--k", 1), _int("--trials", 100), _SEED],
                  lambda a: exp_poincare(a.p, a.n, a.k, a.trials, seed=a.seed)),
-    "profile-scan": ([_P, _N, ("--n-hi", int, None, "upper end of the n range (profile-scan)"),
-                      ("--family", str, "ep"), ("--k-max", int, 2), ("--r-max", int, 6)],
+    "profile-scan": ([_P, _N, _int("--n-hi", help="upper end of the n range (profile-scan)"),
+                      ("--family", {"default": "ep"}), _int("--k-max", 2), _int("--r-max", 6)],
                      lambda a: exp_profile_scan(
                          a.p, a.family, (a.n, a.n if a.n_hi is None else a.n_hi),
                          a.k_max, a.r_max)),
-    "bog-scan": ([_P, _N, ("--d", int, 4), ("--r", int, 2), ("--budget", int, 200), _SEED],
+    "bog-scan": ([_P, _N, _int("--d", 4), _int("--r", 2), _int("--budget", 200), _SEED],
                  lambda a: exp_bog_scan(a.p, a.d, a.n, a.r, budget=a.budget, seed=a.seed)),
 }
 
 
 # Every parser of the command line: none reads a prefix of an option as the option.
 _Parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+
+
+def _add_command(subs, name: str, options: list, run, **keywords) -> None:
+    s = subs.add_parser(name, **keywords)
+    for flag, option in options:
+        s.add_argument(flag, **option)
+    s.set_defaults(run=run)
 
 
 # Built once per process: repeated in-process calls of main() would
@@ -108,108 +186,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fprec")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    s = subs.add_parser("deficiency", help="Bohr deficiency scan of a vector set")
-    s.add_argument("--in", dest="infile", required=True, help="vector set file")
-    s.add_argument("--k-max", type=int, required=True)
-    _add_common(s)
-
-    s = subs.add_parser("chi", help="exact chromatic number of a graph or Cayley graph")
-    s.add_argument("--graph", help="edge-list file")
-    s.add_argument("--vertices", help="vertex set file (Cayley mode)")
-    s.add_argument("--conn", help="connection set file (Cayley mode)")
-    _add_common(s)
-
-    s = subs.add_parser("cayley", help="build a Cayley graph and export its edge list")
-    s.add_argument("--vertices", required=True)
-    s.add_argument("--conn", required=True)
-    s.add_argument("--out", required=True)
-
-    s = subs.add_parser("hypergraph-chi", help="exact hypergraph chromatic number")
-    s.add_argument("--in", dest="infile", required=True)
-    _add_common(s)
-
-    s = subs.add_parser("bridge", help="coloring/subgroup bridge roundtrip on a hypergraph")
-    s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
-    _add_common(s)
-
+    for name, (help_, options, run) in VERBS.items():
+        _add_command(subs, name, options, run, help=help_)
+    # Added last, so that usage lines list exp after the verbs.
     exp = subs.add_parser("exp", help="run a named experiment").add_subparsers(
         dest="name", required=True, parser_class=_Parser)
-    for name, (options, _) in EXPERIMENTS.items():
-        s = exp.add_parser(name)
-        for flag, kind, default, *help_ in options:
-            s.add_argument(flag, type=kind, default=default, help=help_[0] if help_ else None)
-        _add_common(s)
-
+    for name, (options, run) in EXPERIMENTS.items():
+        _add_command(exp, name, [*options, *_REPORT], lambda a, run=run: _result(run(a)))
     return parser
-
-
-def _run(args: argparse.Namespace) -> int:
-    """Run one verb and return its exit code."""
-    if args.command == "deficiency":
-        S = read_vecset(args.infile)
-        report = bohr_deficiency(S, args.k_max, set_id=Path(args.infile).name)
-        doc = report.to_dict()
-        doc["input_digest"] = sha256_of_file(args.infile)
-        _emit(doc, args.out, args.format)
-        return EXIT_OK
-
-    if args.command == "chi":
-        if args.graph and not (args.vertices or args.conn):
-            g = read_graph(args.graph)
-            digests = {"graph": sha256_of_file(args.graph)}
-        elif args.vertices and args.conn and not args.graph:
-            g = build_cayley(read_vecset(args.vertices), read_vecset(args.conn))
-            digests = {
-                "vertices": sha256_of_file(args.vertices),
-                "connection": sha256_of_file(args.conn),
-            }
-        else:
-            raise ValueError("chi needs either --graph alone or both --vertices and --conn")
-        chi, coloring = chromatic_number_exact(g)
-        valid = verify(coloring, g)[0] if coloring is not None else None
-        doc = {
-            "chi": "inf" if chi == INFINITE else chi,
-            "coloring": list(coloring) if coloring is not None else None,
-            "coloring_valid": valid,
-            "input_digests": digests,
-        }
-        _emit(doc, args.out, args.format)
-        return EXIT_OK if valid in (True, None) else EXIT_VALIDATION
-
-    if args.command == "cayley":
-        cay = build_cayley(read_vecset(args.vertices), read_vecset(args.conn))
-        write_graph(cay.graph, args.out)
-        return EXIT_OK
-
-    if args.command == "hypergraph-chi":
-        hg = read_hypergraph(args.infile)
-        doc = {
-            "N": hg.n,
-            "num_edges": len(hg.edges),
-            "chi": hypergraph_chromatic(hg),
-            "input_digest": sha256_of_file(args.infile),
-        }
-        _emit(doc, args.out, args.format)
-        return EXIT_OK
-
-    if args.command == "bridge":
-        hg = read_hypergraph(args.infile)
-        report = run_bridge_roundtrip(args.p, hg, seed=args.seed)
-        report.input_digests["hypergraph_file"] = sha256_of_file(args.infile)
-    else:  # exp
-        report = EXPERIMENTS[args.name][1](args)
-    _emit(report.to_dict(), args.out, args.format)
-    return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        code = _run(args)
+        doc, code = args.run(args)
+        if doc is not None:
+            _emit(doc, args.out, args.format)
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -534,24 +534,15 @@ def exp_profile_scan(
     for n in range(lo, hi + 1):
         S_n = _family_set(p, n, family)
         km = min(k_max, _feasible_k_max(p, n, _LEVEL_BUDGET))
-        if S_n.contains_zero():
-            chi_str: object = "inf"
-            deficiency: object = None
-            recurrent_to = km
-        else:
-            V = VecSet.full(p, n)
-            cay = build_cayley(V, S_n)
-            chi, _ = chromatic_number_exact(cay, max_colors=r_max)
-            chi_str = f">{r_max}" if chi == r_max + 1 and chi != INFINITE else _chi_json(chi)
-            rep = bohr_deficiency(S_n, km, f"{family}(n={n})")
-            deficiency = rep.deficient_at
-            recurrent_to = rep.recurrent_up_to
+        chi, _ = chromatic_number_exact(build_cayley(VecSet.full(p, n), S_n), max_colors=r_max)
+        chi_str = f">{r_max}" if chi == r_max + 1 and chi != INFINITE else _chi_json(chi)
+        rep = bohr_deficiency(S_n, km, f"{family}(n={n})")
         rows.append(
             {
                 "n": n,
                 "set_size": len(S_n),
-                "deficiency_level": deficiency,
-                "recurrent_up_to": recurrent_to,
+                "deficiency_level": rep.deficient_at,
+                "recurrent_up_to": rep.recurrent_up_to,
                 "k_max_used": km,
                 "chi": chi_str,
             }

@@ -101,14 +101,14 @@ def write_vecset(S: VecSet, path: str | Path) -> None:
 
 def read_vecset(path: str | Path) -> VecSet:
     (p, n), lines = _read_header(path, ("p", "n"))
-    X = _coordinate_rows(lines, n, p)
-    if X is None:
-        rows = _read_rows(path, lines, (0, p - 1), width=n)
-        X = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
     try:
         check_prime(p)
     except ValueError as exc:
         raise ValueError(f"{path}: line 1: {exc}") from None
+    X = _coordinate_rows(lines, n, p)
+    if X is None:
+        rows = _read_rows(path, lines, (0, p - 1), width=n)
+        X = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
     return VecSet.from_rows(p, n, X)
 
 

@@ -202,14 +202,13 @@ def _from_member(p: int, n: int, row: np.ndarray) -> VecSet:
     return VecSet.from_rows(p, n, lex_coords(p, n)[row])
 
 
-def difference_set(A: VecSet, distinct_only: bool = False) -> VecSet:
-    """{a - a' : a, a' in A}; with distinct_only, only pairs a != a'.
-    One set through distinct_differences."""
+def difference_set(A: VecSet) -> VecSet:
+    """{a - a' : a, a' in A}: one set through distinct_differences."""
     check_order(A.p, A.n)
     half = distinct_differences(A.rows()[None], A.p)[0]
     negate = lex_index((A.p - lex_coords(A.p, A.n)) % A.p, A.p)
     D = half | half[negate]
-    D[0] = len(A) > 0 and not distinct_only  # a - a = 0
+    D[0] = len(A) > 0  # a - a = 0
     return _from_member(A.p, A.n, D)
 
 

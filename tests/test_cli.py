@@ -374,6 +374,9 @@ def test_vecset_parse_error_texts(tmp_path, capsys):
         "# p=3 n=2\n0 1\n2 1000000000000000000000000000000\n": "line 3: values must lie in [0, 2]",
         "# p=3 n=2\n+1 02\n\n\t-0  ٢ \n": None,
         "# p=3 n=2\n0 1\n1 2 0": "line 3: 3 values, expected 2",
+        # A header p that is not a prime is reported before a row above p.
+        **{f"# p={p} n=1\n{p + 3}\n": f"line 1: p must be a prime <= 31, got {p}\n"
+           for p in (0, 1, 4)},
     }
     for text, error in cases.items():
         path = tmp_path / "v.txt"

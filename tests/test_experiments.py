@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -37,6 +38,7 @@ from fprec.families import (
     weight_d_set,
 )
 from fprec import experiments, fpgroup
+from fprec.cli import main
 from fprec.fileio import write_hypergraph
 from fprec.fpgroup import (
     FpMatrix,
@@ -370,6 +372,25 @@ class TestEpRoundtrip:
             5, itertools.combinations(range(1, 6), 2)))
         assert calls == [5] and report.results["subgroup_codim_scanned"] == 5
 
+    def test_bridge_direction_a_failure_reported(self, tmp_path, capsys, monkeypatch):
+        # With every cell named by the zero row, each proper partition's
+        # subgroup is the whole group, which meets the indicator set.
+        monkeypatch.setattr(experiments, "_cell_masks",
+                            lambda labels: np.zeros((len(labels), labels.max()), dtype=np.intp))
+        hg = Hypergraph.from_edge_lists(3, [(1, 2), (2, 3)])
+        expected = [
+            f"uniform family: subgroup from partition {cells} fails to avoid the indicator set"
+            for cells in ([[1, 3], [2]], [[1], [2], [3]])
+        ]
+        report = run_bridge_roundtrip(2, hg)
+        assert report.results["violations"] == expected
+        assert report.verdicts == {"no_violations": False}
+        write_hypergraph(hg, tmp_path / "h.txt")
+        assert main(["bridge", "--in", str(tmp_path / "h.txt"), "--p", "2"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"]["violations"] == expected
+        assert doc["verdicts"] == {"no_violations": False}
+
     @pytest.mark.parametrize("N", range(9))
     def test_partition_table_is_every_partition_in_order(self, N):
         # Direction (a)'s exhaustive candidates: every restricted-growth row,
@@ -697,6 +718,17 @@ class TestProfileScan:
             for r in report.results["profile"]
         ]
         assert levels == sorted(levels)
+
+    @pytest.mark.parametrize("p, n_range, sizes, chi", [
+        (2, (3, 6), [1, 2, 4, 6], 2),
+        (3, (3, 4), [1, 2], 3),
+    ])
+    def test_ap3_rows(self, p, n_range, sizes, chi):
+        # The ap3 indicator sets: deficient at level 1, so the Cayley graph is finitely colorable.
+        rows = exp_profile_scan(p, "ap3", n_range, 2, 6).results["profile"]
+        assert [r["n"] for r in rows] == list(range(n_range[0], n_range[1] + 1))
+        assert [r["set_size"] for r in rows] == sizes
+        assert all(r["deficiency_level"] == 1 and r["chi"] == chi for r in rows)
 
 
 class TestBogScan:

@@ -89,15 +89,18 @@ class TestVecSet:
 
 class TestDifferenceSet:
     def test_singleton_distinct(self):
-        assert len(difference_set(vs(2, 2, (1, 0)), distinct_only=True)) == 0
+        # distinct_differences, the pairs a != a' that difference_set is built
+        # from: a singleton has none.
+        assert not distinct_differences(vs(2, 2, (1, 0)).rows()[None], 2).any()
 
     def test_singleton_all(self):
         D = difference_set(vs(2, 2, (1, 0)))
         assert [v.coords for v in D] == [(0, 0)]
 
     def test_char2_pair(self):
-        D = difference_set(vs(2, 2, (0, 0), (1, 1)), distinct_only=True)
-        assert [v.coords for v in D] == [(1, 1)]
+        A = vs(2, 2, (0, 0), (1, 1))
+        assert vectors_of(distinct_differences(A.rows()[None], 2)[0], 2, 2) == {FpVec(2, (1, 1))}
+        assert [v.coords for v in difference_set(A)] == [(0, 0), (1, 1)]
 
 
 class TestDfoldSumset:
@@ -163,9 +166,9 @@ def vectors_of(row, p, n):
 class TestCodeKernels:
     """The two array kernels against the FpVec definitions."""
 
-    @given(small_vecsets(), st.booleans())
+    @given(small_vecsets())
     @settings(max_examples=300, deadline=None)
-    def test_distinct_differences_match_fpvec_subtraction(self, sets, distinct_only):
+    def test_distinct_differences_match_fpvec_subtraction(self, sets):
         # Sets of one size stack into one batch; positions stand in for points.
         p, n = sets[0].p, sets[0].n
         m = min(len(A) for A in sets)
@@ -176,8 +179,7 @@ class TestCodeKernels:
             pairs = itertools.combinations(range(m), 2)
             assert vectors_of(row, p, n) == {E[a] - E[b] for a, b in pairs}
         for A in sets:
-            expect = {a - b for a in A for b in A if not (distinct_only and a == b)}
-            assert set(difference_set(A, distinct_only=distinct_only)) == expect
+            assert set(difference_set(A)) == {a - b for a in A for b in A}
 
     @given(small_vecsets(), st.integers(1, 5))
     @settings(max_examples=300, deadline=None)
