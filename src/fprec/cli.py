@@ -27,13 +27,7 @@ from .experiments import (
     report_json,
     run_bridge_roundtrip,
 )
-from .fileio import (
-    read_graph,
-    read_hypergraph,
-    read_vecset,
-    sha256_of_file,
-    write_graph,
-)
+from .fileio import read_graph, read_hypergraph, read_vecset, write_graph
 from .fpgroup import ResourceGuardError
 
 EXIT_OK = 0
@@ -78,18 +72,20 @@ def _result(report: ExperimentReport) -> tuple[dict, int]:
 
 
 def _deficiency(a: argparse.Namespace) -> tuple[dict, int]:
-    doc = bohr_deficiency(read_vecset(a.infile), a.k_max, set_id=Path(a.infile).name).to_dict()
-    doc["input_digest"] = sha256_of_file(a.infile)
+    S, digest = read_vecset(a.infile)
+    doc = bohr_deficiency(S, a.k_max, set_id=Path(a.infile).name).to_dict()
+    doc["input_digest"] = digest
     return doc, EXIT_OK
 
 
 def _chi(a: argparse.Namespace) -> tuple[dict, int]:
     if a.graph and not (a.vertices or a.conn):
-        g = read_graph(a.graph)
-        digests = {"graph": sha256_of_file(a.graph)}
+        g, digest = read_graph(a.graph)
+        digests = {"graph": digest}
     elif a.vertices and a.conn and not a.graph:
-        g = build_cayley(read_vecset(a.vertices), read_vecset(a.conn))
-        digests = {"vertices": sha256_of_file(a.vertices), "connection": sha256_of_file(a.conn)}
+        (V, v_digest), (S, s_digest) = read_vecset(a.vertices), read_vecset(a.conn)
+        g = build_cayley(V, S)
+        digests = {"vertices": v_digest, "connection": s_digest}
     else:
         raise ValueError("chi needs either --graph alone or both --vertices and --conn")
     chi, coloring = chromatic_number_exact(g)
@@ -104,20 +100,21 @@ def _chi(a: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cayley(a: argparse.Namespace) -> tuple[None, int]:
-    write_graph(build_cayley(read_vecset(a.vertices), read_vecset(a.conn)).graph, a.out)
+    write_graph(build_cayley(read_vecset(a.vertices)[0], read_vecset(a.conn)[0]).graph, a.out)
     return None, EXIT_OK
 
 
 def _hypergraph_chi(a: argparse.Namespace) -> tuple[dict, int]:
-    hg = read_hypergraph(a.infile)
+    hg, digest = read_hypergraph(a.infile)
     doc = {"N": hg.n, "num_edges": len(hg.edges), "chi": hypergraph_chromatic(hg),
-           "input_digest": sha256_of_file(a.infile)}
+           "input_digest": digest}
     return doc, EXIT_OK
 
 
 def _bridge(a: argparse.Namespace) -> tuple[dict, int]:
-    report = run_bridge_roundtrip(a.p, read_hypergraph(a.infile), seed=a.seed)
-    report.input_digests["hypergraph_file"] = sha256_of_file(a.infile)
+    hg, digest = read_hypergraph(a.infile)
+    report = run_bridge_roundtrip(a.p, hg, seed=a.seed)
+    report.input_digests["hypergraph_file"] = digest
     return _result(report)
 
 
@@ -141,9 +138,10 @@ VERBS = {
 
 
 def _lift_transfer(a: argparse.Namespace) -> ExperimentReport:
-    report = exp_lift_transfer(a.p, a.d, a.n, a.m, read_vecset(a.set) if a.set else None, a.seed)
+    S, digest = read_vecset(a.set) if a.set else (None, None)
+    report = exp_lift_transfer(a.p, a.d, a.n, a.m, S, a.seed)
     if a.set:
-        report.input_digests["S_file"] = sha256_of_file(a.set)
+        report.input_digests["S_file"] = digest
     return report
 
 
@@ -172,32 +170,61 @@ EXPERIMENTS = {
 _Parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
 
 
-def _add_command(subs, name: str, options: list, run, **keywords) -> None:
-    s = subs.add_parser(name, **keywords)
+def _add_command(commands: dict, subs, words: tuple[str, ...], options: list, run,
+                 **keywords) -> None:
+    s = subs.add_parser(words[-1], **keywords)
     for flag, option in options:
         s.add_argument(flag, **option)
     s.set_defaults(run=run)
+    commands[words] = s
 
 
 # Built once per process: repeated in-process calls of main() would
 # otherwise rebuild every subparser each time.
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The full parser, and each command's own parser in it, keyed by the
+    words that name the command: ("deficiency",) or ("exp", "poincare")."""
+    commands: dict[tuple[str, ...], argparse.ArgumentParser] = {}
     parser = _Parser(prog="fprec")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (help_, options, run) in VERBS.items():
-        _add_command(subs, name, options, run, help=help_)
+        _add_command(commands, subs, (name,), options, run, help=help_)
     # Added last, so that usage lines list exp after the verbs.
     exp = subs.add_parser("exp", help="run a named experiment").add_subparsers(
         dest="name", required=True, parser_class=_Parser)
     for name, (options, run) in EXPERIMENTS.items():
-        _add_command(exp, name, [*options, *_REPORT], lambda a, run=run: _result(run(a)))
-    return parser
+        _add_command(commands, exp, ("exp", name), [*options, *_REPORT],
+                     lambda a, run=run: _result(run(a)))
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv: list[str] | None = None) -> argparse.Namespace:
+    """The command line, parsed by its command's own parser, which the full
+    parser would reach through one or two layers of subparsers.
+
+    A line that this parser does not take whole goes to the full parser: no
+    command or an unknown one, leftover arguments, --version or a top-level
+    -h.  So every usage and error message is the one the full parser prints.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = tuple(argv[:2] if argv[:1] == ["exp"] else argv[:1])
+    command = commands.get(words)
+    if command is not None:
+        args, extras = command.parse_known_args(argv[len(words):])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     t0 = time.perf_counter()
     try:
         doc, code = args.run(args)

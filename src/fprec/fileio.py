@@ -16,13 +16,15 @@ from .setops import VecSet
 
 def _read_header(
     path: str | Path, names: tuple[str, ...], vertex_count: str | None = None
-) -> tuple[list[int], list[str]]:
-    """Parse a '# name=<int> ...' header line: its values and the lines after it.
+) -> tuple[list[int], list[str], str]:
+    """Read a file once and parse its '# name=<int> ...' header line: the
+    header's values, the lines after it and the sha256 of the file's bytes.
 
     The header value named by vertex_count must not exceed MAX_VERTICES, else
     ResourceGuardError.  Errors name the file and line 1.
     """
-    lines = Path(path).read_text().splitlines()
+    data = Path(path).read_bytes()
+    lines = data.decode().splitlines()
     header = re.compile(r"#\s*" + r"\s+".join(rf"{k}=(\d+)" for k in names) + r"\s*$")
     m = header.match(lines[0]) if lines else None
     if not m:
@@ -33,7 +35,7 @@ def _read_header(
         count = values[names.index(vertex_count)]
         what = f"{path}: line 1: {vertex_count}={count}"
         check_bound(what, "vertex bound MAX_VERTICES = 2^16", MAX_VERTICES, times=count)
-    return values, lines[1:]
+    return values, lines[1:], hashlib.sha256(data).hexdigest()
 
 
 def _read_rows(
@@ -99,8 +101,10 @@ def write_vecset(S: VecSet, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_vecset(path: str | Path) -> VecSet:
-    (p, n), lines = _read_header(path, ("p", "n"))
+# Each reader reads its file once and returns what it parsed with the sha256
+# of the bytes it parsed, which reports cite as the input digest.
+def read_vecset(path: str | Path) -> tuple[VecSet, str]:
+    (p, n), lines, digest = _read_header(path, ("p", "n"))
     try:
         check_prime(p)
     except ValueError as exc:
@@ -109,7 +113,7 @@ def read_vecset(path: str | Path) -> VecSet:
     if X is None:
         rows = _read_rows(path, lines, (0, p - 1), width=n)
         X = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
-    return VecSet.from_rows(p, n, X)
+    return VecSet.from_rows(p, n, X), digest
 
 
 def write_hypergraph(hg: Hypergraph, path: str | Path) -> None:
@@ -118,10 +122,10 @@ def write_hypergraph(hg: Hypergraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_hypergraph(path: str | Path) -> Hypergraph:
-    (n,), lines = _read_header(path, ("N",), vertex_count="N")
+def read_hypergraph(path: str | Path) -> tuple[Hypergraph, str]:
+    (n,), lines, digest = _read_header(path, ("N",), vertex_count="N")
     edges = _read_rows(path, lines, (1, n))
-    return Hypergraph.from_edge_lists(n, edges)
+    return Hypergraph.from_edge_lists(n, edges), digest
 
 
 def write_graph(g: Graph, path: str | Path) -> None:
@@ -130,10 +134,10 @@ def write_graph(g: Graph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_graph(path: str | Path) -> Graph:
-    (n,), lines = _read_header(path, ("vertices",), vertex_count="vertices")
+def read_graph(path: str | Path) -> tuple[Graph, str]:
+    (n,), lines, digest = _read_header(path, ("vertices",), vertex_count="vertices")
     edges = _read_rows(path, lines, (0, n - 1), width=2)
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, edges), digest
 
 
 def sha256_of_file(path: str | Path) -> str:

@@ -284,11 +284,18 @@ def _lex_rows(idx: np.ndarray, p: int, n: int) -> np.ndarray:
     return (idx[:, None] // _lex_weights(p, n) % p).astype(np.uint8)
 
 
+def _lex_table(p: int, n: int) -> np.ndarray:
+    """The rows of _lex_rows(arange(p^n), p, n), with no division: axis i of
+    np.indices counts coordinate i.  Its shape is spelled out, not -1, so
+    that F_p^0 gives its one empty row."""
+    return np.ascontiguousarray(np.indices((p,) * n, dtype=np.uint8).reshape(n, p**n).T)
+
+
 def lex_coords(p: int, n: int) -> np.ndarray:
     """The coordinates of all elements of F_p^n in lex order, one uint8 row
     each: row i is the vector of lex index i."""
     check_order(p, n)
-    return _lex_rows(np.arange(p**n, dtype=np.int64), p, n)
+    return _lex_table(p, n)
 
 
 def lex_index(X: np.ndarray, p: int) -> np.ndarray:

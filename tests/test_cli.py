@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fprec import experiments, fileio
+from fprec import cli, experiments, fileio
 from fprec.cli import build_parser, main
 from fprec.bohr import bohr_deficiency, meets_all_subgroups_oracle
 from fprec.colorings import (
@@ -45,7 +45,7 @@ class TestFileFormats:
         path = tmp_path / "s.txt"
         write_vecset(S, path)
         assert path.read_text().splitlines()[0] == "# p=3 n=4"
-        assert read_vecset(path) == S
+        assert read_vecset(path) == (S, sha256_of_file(path))
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("make", [VecSet.full, VecSet.empty])
@@ -55,20 +55,20 @@ class TestFileFormats:
         path = tmp_path / "s.txt"
         write_vecset(S, path)
         assert path.read_text() == f"# p={p} n=0\n" + "\n" * len(S)
-        assert read_vecset(path) == S and len(read_vecset(path)) == len(S)
+        assert read_vecset(path)[0] == S and len(read_vecset(path)[0]) == len(S)
 
     def test_hypergraph_roundtrip(self, tmp_path):
         hg = ap3_hypergraph(6)
         path = tmp_path / "h.txt"
         write_hypergraph(hg, path)
         assert path.read_text().splitlines()[0] == "# N=6"
-        assert read_hypergraph(path) == hg
+        assert read_hypergraph(path) == (hg, sha256_of_file(path))
 
     def test_graph_roundtrip(self, tmp_path):
         g = Graph.from_edges(4, [(0, 1), (2, 3), (1, 1)])
         path = tmp_path / "g.txt"
         write_graph(g, path)
-        assert read_graph(path) == g
+        assert read_graph(path) == (g, sha256_of_file(path))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -90,7 +90,7 @@ class TestFileFormats:
                                    (g, write_graph, read_graph)):
                 path = Path(tmp) / "x.txt"
                 write(x, path)
-                assert read(path) == x
+                assert read(path)[0] == x
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -195,7 +195,7 @@ def test_vertex_count_bound_is_inclusive(tmp_path):
             with pytest.raises(ResourceGuardError):
                 read_graph(path)
         else:
-            assert read_graph(path).n == n
+            assert read_graph(path)[0].n == n
 
 
 @st.composite
@@ -273,7 +273,7 @@ def test_vecset_exit_code_contract(verb, data):
             (_, V), (_, S) = files
             g = cayley_reference(V, S)
             if verb == "cayley":
-                assert read_graph(out) == g
+                assert read_graph(out)[0] == g
             else:
                 chi = chromatic_number_bruteforce(g)
                 assert json.loads(out.read_text())["chi"] == ("inf" if chi == INFINITE else chi)
@@ -339,7 +339,7 @@ def test_vecset_parse_matches_line_loop(case):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "in.txt", Path(tmp) / "out.txt"
         path.write_text(text)
-        (p, n), lines = fileio._read_header(path, ("p", "n"))
+        (p, n), lines, _ = fileio._read_header(path, ("p", "n"))
         fast = fileio._coordinate_rows(lines, n, p)
         try:
             rows = fileio._read_rows(path, lines, (0, p - 1), width=n)
@@ -385,14 +385,14 @@ def test_vecset_parse_error_texts(tmp_path, capsys):
         err = capsys.readouterr().err
         assert (error in err) if error else "error" not in err
         if not error:
-            assert read_vecset(path).coord_tuples() == {(1, 2), (0, 2)}
+            assert read_vecset(path)[0].coord_tuples() == {(1, 2), (0, 2)}
 
 
 def test_graph_files_read_as_python_ints(tmp_path):
     g_path, h_path = tmp_path / "g.txt", tmp_path / "h.txt"
     g_path.write_text("# vertices=4\n0 1\n2 2\n1 3\n")
     h_path.write_text("# N=4\n1 2\n2 3 4\n")
-    g, hg = read_graph(g_path), read_hypergraph(h_path)
+    (g, _), (hg, _) = read_graph(g_path), read_hypergraph(h_path)
     assert {type(v) for a in g.adj for v in a} | {type(v) for v in g.self_loops} == {int}
     assert {type(v) for e in hg.edges for v in e} == {int}
     assert json.dumps(sorted(map(sorted, hg.edges))) == "[[1, 2], [2, 3, 4]]"
@@ -538,7 +538,7 @@ class TestCli:
                 texts.append(out)
             if verb == "cayley":
                 assert texts == [""]
-                write_graph(build_cayley(read_vecset(argv[2]), read_vecset(argv[4])).graph,
+                write_graph(build_cayley(read_vecset(argv[2])[0], read_vecset(argv[4])[0]).graph,
                             tmp_path / "r")
                 texts = [Path(argv[6]).read_text()]
             texts.append((tmp_path / "r").read_text())
@@ -878,3 +878,86 @@ def test_reports_byte_identical_across_reruns(verb, verb_argvs, tmp_path, capsys
         outputs.append(out.encode())
     assert outputs[0] == outputs[1]
     assert outputs[0]
+
+
+# Where each command reports the digest of each input, by option.
+_DIGEST_KEYS = {
+    "deficiency": {"--in": ("input_digest",)},
+    "chi-graph": {"--graph": ("input_digests", "graph")},
+    "chi-cayley": {"--vertices": ("input_digests", "vertices"),
+                   "--conn": ("input_digests", "connection")},
+    "hypergraph-chi": {"--in": ("input_digest",)},
+    "bridge": {"--in": ("input_digests", "hypergraph_file")},
+    "lift-transfer": {"--set": ("input_digests", "S_file")},
+}
+
+
+@pytest.mark.parametrize("command", _DIGEST_KEYS)
+def test_each_input_read_once(command, verb_argvs, capsys, monkeypatch):
+    # Every file open fileio can make goes through Path.open or open; the
+    # report's digest must come from the one read that the parse made.
+    argv = verb_argvs.get(command) or [
+        "exp", "lift-transfer", "--p", "2", "--n", "3", "--d", "4", "--m", "8",
+        "--set", verb_argvs["deficiency"][2]]
+    paths = {flag: argv[argv.index(flag) + 1] for flag in _DIGEST_KEYS[command]}
+    reads = {path: 0 for path in paths.values()}
+
+    def counted(original):
+        def opener(file, *args, **kwargs):
+            if str(file) in reads:
+                reads[str(file)] += 1
+            return original(file, *args, **kwargs)
+        return opener
+
+    monkeypatch.setattr(Path, "open", counted(Path.open))
+    monkeypatch.setattr("builtins.open", counted(open))
+    assert main(argv) == 0
+    monkeypatch.undo()
+    assert reads == {path: 1 for path in paths.values()}
+    doc = json.loads(capsys.readouterr().out)
+    for flag, keys in _DIGEST_KEYS[command].items():
+        digest = doc
+        for key in keys:
+            digest = digest[key]
+        assert digest == sha256_of_file(paths[flag]), flag
+
+
+# The exit code and the last line of what the full parser prints for lines
+# that no command's own parser takes whole, or that it refuses.
+PARSER_MESSAGES = [
+    (["deficiency", "--in", "s.txt", "--k-max", "1", "extra"], 2,
+     "fprec: error: unrecognized arguments: extra"),
+    (["exp", "poincare", "--budget", "5"], 2, "fprec: error: unrecognized arguments: --budget 5"),
+    (["nosuch"], 2, "fprec: error: argument command: invalid choice: 'nosuch' (choose from "
+     "'deficiency', 'chi', 'cayley', 'hypergraph-chi', 'bridge', 'exp')"),
+    (["exp", "nosuch"], 2, "fprec exp: error: argument name: invalid choice: 'nosuch' (choose "
+     "from 's-square', 'ep-roundtrip', 'lift-transfer', 'poincare', 'profile-scan', "
+     "'bog-scan')"),
+    (["deficiency", "--in", "s.txt"], 2,
+     "fprec deficiency: error: the following arguments are required: --k-max"),
+    (["--version"], 0, "0.1.0"),
+]
+
+
+@pytest.mark.parametrize("argv, code, last", PARSER_MESSAGES, ids=[" ".join(a) for a, *_ in
+                                                                  PARSER_MESSAGES])
+def test_parser_messages_pinned(argv, code, last, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err).splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("words", [[verb] for verb in VERB_ARGS] + [["exp", name] for name in
+                                                                   EXPERIMENT_OPTIONS])
+def test_command_parser_agrees_with_full_parser(words):
+    # A line that a command's own parser takes whole parses to what the full
+    # parser gives, less the command and experiment names it alone records.
+    argv = [*words, *VERB_ARGS.get(words[0], [])]
+    if words[0] == "exp":
+        flag = next(iter(EXPERIMENT_OPTIONS[words[1]]))
+        argv += [flag, "3", "--format", "tsv"]
+    full = vars(build_parser().parse_args(argv))
+    assert [full.pop(k) for k in ("command", "name") if k in full] == words
+    assert vars(cli._parse(argv)) == full

@@ -707,9 +707,11 @@ class TestProfileScan:
         for row in report.results["profile"]:
             assert row["deficiency_level"] == 1
 
-    def test_zero_in_set_marks_infinite(self):
-        report = exp_profile_scan(2, "e2", (2, 3), 1, 3)
-        assert all(r["chi"] != "inf" for r in report.results["profile"])
+    def test_e2_rows(self):
+        # Cay(F_2^3, weight 2) is two disjoint K4, so its chi exceeds r_max = 3.
+        rows = exp_profile_scan(2, "e2", (2, 3), 1, 3).results["profile"]
+        assert [(r["n"], r["set_size"], r["deficiency_level"], r["recurrent_up_to"], r["chi"])
+                for r in rows] == [(2, 1, 1, None, 2), (3, 3, None, 1, ">3")]
 
     def test_ep_monotone_observation(self):
         report = exp_profile_scan(2, "ep", (2, 6), 3, 4)

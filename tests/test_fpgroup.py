@@ -509,3 +509,13 @@ class TestLexTable:
         assert lex_index(U[None, ::-1], p).tolist() == [list(range(p**n - 1, -1, -1))]
         with pytest.raises(ResourceGuardError):
             lex_coords(2, 25)
+
+    def test_lex_table_matches_lex_rows(self):
+        # Every prime p <= 31 and every n >= 0 with p^n <= 2^12, n = 0 included.
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            n = 0
+            while p**n <= 2**12:
+                U, ref = lex_coords(p, n), fpgroup._lex_rows(np.arange(p**n), p, n)
+                assert (U.dtype, U.shape) == (ref.dtype, ref.shape), (p, n)
+                assert U.flags.c_contiguous and U.tobytes() == ref.tobytes(), (p, n)
+                n += 1

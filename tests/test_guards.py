@@ -112,7 +112,7 @@ def _hypergraph_file(tmp_path, count):
 # the call at the bound reaches right after the guard, replaced by _reach).
 GUARDS = [
     ("per-run p^n <= 2^24", lambda t: lex_coords(2, 24), lambda t: lex_coords(2, 25),
-     (fpgroup, "_lex_rows")),
+     (fpgroup, "_lex_table")),
     ("per-run, difference_set", lambda t: check_order(2, 24),
      lambda t: difference_set(VecSet.empty(2, 25)), None),
     # C(22, 1)_2 = 2^22 - 1 rows; C(23, 1)_2 = 2^23 - 1.
